@@ -1,22 +1,21 @@
-(* Dynamic-scheduling bench: static affinity placement vs work stealing
-   and cost-aware routing on the real-parallel backend, under uniform and
-   Zipfian-skewed YCSB at a fixed domain count, plus a Smallbank
-   cross-check.
+(* Scheduler bench: static affinity placement vs cost-aware routing on the
+   real-parallel backend, under uniform and Zipfian-skewed YCSB at a fixed
+   domain count, plus a Smallbank cross-check.
 
    Each scenario drives a FIXED amount of work (run_fixed) and reports the
    makespan — wall-clock seconds to finish all of it — rather than
    open-window throughput: with skew, a static schedule leaves the cold
    domains idle while the hot domain grinds through its backlog, and
    makespan is exactly the number that exposes it. Alongside: per-domain
-   busy seconds (utilization = busy / makespan), steal and cost-routing
-   counters, and latency percentiles from an attached Obs collector.
+   busy seconds (utilization = busy / makespan), cost-routing counters,
+   and latency percentiles from an attached Obs collector.
 
    Every run is audit-gated, same policy as parallel_scaling.exe: zero
    internal errors, exact attempt accounting
    (committed + aborted = logical + retries), one row per YCSB key reactor
    / exact money conservation for Smallbank, and a full secondary-index
    audit. A failed audit exits non-zero — the numbers mean nothing if the
-   dynamic schedule broke execution.
+   routing policy broke execution.
 
    Usage:
      dune exec bench/scheduler.exe                  full run
@@ -26,14 +25,12 @@
 module RDb = Runtime.Db
 module SB = Workloads.Smallbank
 
-type mode = { m_name : string; m_router : Reactdb.Config.router; m_steal : bool }
+type mode = { m_name : string; m_router : Reactdb.Config.router }
 
 let modes =
   [
-    { m_name = "static"; m_router = Reactdb.Config.Affinity; m_steal = false };
-    { m_name = "steal"; m_router = Reactdb.Config.Affinity; m_steal = true };
-    { m_name = "cost"; m_router = Reactdb.Config.Cost; m_steal = false };
-    { m_name = "dynamic"; m_router = Reactdb.Config.Cost; m_steal = true };
+    { m_name = "static"; m_router = Reactdb.Config.Affinity };
+    { m_name = "cost"; m_router = Reactdb.Config.Cost };
   ]
 
 type row = {
@@ -47,7 +44,6 @@ type row = {
   rw_p99 : float;
   rw_util_mean : float;
   rw_util_min : float;  (** coldest domain's utilization *)
-  rw_steals : int;
   rw_cost_routed : int;
   rw_sheds : int;
   rw_retries : int;
@@ -66,8 +62,7 @@ let chunk k xs =
   List.iteri (fun i x -> groups.(i / per) <- x :: groups.(i / per)) xs;
   Array.to_list (Array.map List.rev groups)
 
-(* Same placement for every mode — only ingress policy and stealing
-   differ, so makespan deltas are pure scheduling effects. *)
+(* Same placement for every mode — only the ingress policy differs, so makespan deltas are pure scheduling effects. *)
 let make_config router groups =
   match router with
   | Reactdb.Config.Affinity -> Reactdb.Config.shared_nothing groups
@@ -97,7 +92,7 @@ let run_scenario ~wl ~mode ~d ~workers ~per_worker =
     | Smallbank n -> (SB.decl ~customers:n (), SB.customers n)
   in
   let cfg = make_config mode.m_router (chunk d names) in
-  let db = RDb.start ~steal:mode.m_steal decl cfg in
+  let db = RDb.start decl cfg in
   let collector =
     Obs.Collector.create ~clock:Obs.Wall ~containers:(RDb.n_domains db) ()
   in
@@ -176,7 +171,6 @@ let run_scenario ~wl ~mode ~d ~workers ~per_worker =
     rw_p99 = report.Obs.Report.r_lat_p99_us;
     rw_util_mean = mean utils;
     rw_util_min = Array.fold_left Float.min 1. utils;
-    rw_steals = RDb.n_steals db;
     rw_cost_routed =
       Array.fold_left (fun a s -> a + s.RDb.ss_routed_by_cost) 0 stats;
     rw_sheds = Array.fold_left (fun a s -> a + s.RDb.ss_sheds) 0 stats;
@@ -191,9 +185,8 @@ let emit_json path rows =
   Printf.fprintf oc "  \"host\": {\"recommended_domains\": %d},\n"
     (Domain.recommended_domain_count ());
   Printf.fprintf oc
-    "  \"note\": \"fixed-work makespan comparison; dynamic scheduling \
-     (stealing + cost routing) only pays off when skew leaves some domains \
-     idle, so compare modes within one workload row group\",\n";
+    "  \"note\": \"fixed-work makespan comparison of affinity (static) and \
+     cost routing; compare modes within one workload row group\",\n";
   Printf.fprintf oc "  \"rows\": [\n";
   List.iteri
     (fun i r ->
@@ -201,11 +194,11 @@ let emit_json path rows =
         "    {\"workload\": %S, \"mode\": %S, \"domains\": %d, \"txns\": %d, \
          \"makespan_s\": %.4f, \"throughput\": %.1f, \"p50_us\": %.1f, \
          \"p99_us\": %.1f, \"util_mean\": %.3f, \"util_min\": %.3f, \
-         \"steals\": %d, \"cost_routed\": %d, \"sheds\": %d, \"retries\": \
+         \"cost_routed\": %d, \"sheds\": %d, \"retries\": \
          %d, \"audit\": %S}%s\n"
         r.rw_workload r.rw_mode r.rw_domains r.rw_txns r.rw_makespan_s
         r.rw_throughput r.rw_p50 r.rw_p99 r.rw_util_mean r.rw_util_min
-        r.rw_steals r.rw_cost_routed r.rw_sheds r.rw_retries
+        r.rw_cost_routed r.rw_sheds r.rw_retries
         (match r.rw_audit with Ok () -> "ok" | Error m -> m)
         (if i = List.length rows - 1 then "" else ","))
     rows;
@@ -253,9 +246,9 @@ let () =
             let r = run_scenario ~wl ~mode ~d ~workers ~per_worker in
             Printf.printf
               "  %-16s %-8s makespan %6.3fs  %8.0f txn/s  p99 %8.1fus  util \
-               %4.2f (min %4.2f)  steals %5d  cost-routed %5d  [%s]\n%!"
+               %4.2f (min %4.2f)  cost-routed %5d  [%s]\n%!"
               r.rw_workload r.rw_mode r.rw_makespan_s r.rw_throughput r.rw_p99
-              r.rw_util_mean r.rw_util_min r.rw_steals r.rw_cost_routed
+              r.rw_util_mean r.rw_util_min r.rw_cost_routed
               (match r.rw_audit with
               | Ok () -> "audit ok"
               | Error _ -> "AUDIT FAILED");
@@ -274,23 +267,6 @@ let () =
           Some (Printf.sprintf "%s/%s: %s" r.rw_workload r.rw_mode m))
       rows
   in
-  (* The headline claim is also gated: under Zipfian skew the dynamic mode
-     must actually steal. (Makespan improvement is asserted softly — wall
-     clock on a shared host is too noisy for a hard exit — but printed so
-     regressions are visible in the committed JSON.) *)
-  let zipf_dynamic =
-    List.find_opt
-      (fun r ->
-        r.rw_mode = "dynamic"
-        && String.length r.rw_workload >= 9
-        && String.sub r.rw_workload 0 9 = "ycsb-zipf")
-      rows
-  in
-  (match zipf_dynamic with
-  | Some r when r.rw_steals = 0 ->
-    Printf.eprintf "GATE FAILURE: dynamic mode never stole under skew\n";
-    exit 1
-  | _ -> ());
   if failures <> [] then begin
     List.iter (Printf.eprintf "AUDIT FAILURE: %s\n") failures;
     exit 1

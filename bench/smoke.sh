@@ -40,11 +40,10 @@ echo "== bench smoke: parallel scaling (audit-gated) =="
 dune exec bench/parallel_scaling.exe -- --fast --out BENCH_parallel_scaling_smoke.json
 
 echo
-echo "== bench smoke: dynamic scheduling (audit- and steal-gated) =="
-# Static vs steal vs cost-router vs dynamic sweeps under uniform and
-# Zipfian skew. The runner exits non-zero if any run fails its
-# equivalence audit, or if the dynamic mode records zero steals under
-# skew (the stealing path silently disabled).
+echo "== bench smoke: scheduler (audit-gated) =="
+# Static affinity vs cost-router sweeps under uniform and Zipfian skew,
+# plus Smallbank. The runner exits non-zero if any run fails its
+# equivalence audit.
 dune exec bench/scheduler.exe -- --fast --out BENCH_scheduler_smoke.json
 
 echo

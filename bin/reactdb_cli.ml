@@ -215,7 +215,7 @@ let run_cmd workload scale theta workers strategy executors mpl config_file
    promote the freshest replica through the recovery-equivalence oracle
    and bump the shipping generation — while the primary keeps serving. *)
 let run_parallel_cmd workload scale theta workers domains duration_ms retries
-    deadline_ms mailbox_cap chaos_spec router steal replicas failover_at_ms =
+    deadline_ms mailbox_cap chaos_spec router replicas failover_at_ms =
   let decl, reactors, gen = build_workload workload ~scale ~theta in
   let groups = Array.make domains [] in
   List.iteri
@@ -238,14 +238,13 @@ let run_parallel_cmd workload scale theta workers domains duration_ms retries
   in
   let chaos = chaos_of_spec chaos_spec in
   let wal = if replicas > 0 then Some (Wal.in_memory ()) else None in
-  let db = Runtime.Db.start ~chaos ?mailbox_cap ~steal ?wal decl config in
-  Printf.printf "reactors=%d domains=%d workers=%d router=%s%s%s%s%s\n%!"
+  let db = Runtime.Db.start ~chaos ?mailbox_cap ?wal decl config in
+  Printf.printf "reactors=%d domains=%d workers=%d router=%s%s%s%s\n%!"
     (List.length reactors) (Runtime.Db.n_domains db) workers
     (match router with
     | Reactdb.Config.Round_robin -> "round-robin"
     | Reactdb.Config.Affinity -> "affinity"
     | Reactdb.Config.Cost -> "cost")
-    (if steal then " steal" else "")
     (match deadline_ms with
     | Some d -> Printf.sprintf " deadline=%.1fms" d
     | None -> "")
@@ -332,12 +331,11 @@ let run_parallel_cmd workload scale theta workers domains duration_ms retries
     (fun (reason, n) -> Printf.printf "  %-14s %12d\n" reason n)
     r.Runtime.Db.Load.aborts_by_reason;
   Printf.printf "retries         %12d\n" r.Runtime.Db.Load.retries;
-  if steal || router = Reactdb.Config.Cost then begin
-    let stats = Runtime.Db.sched_stats db in
-    Printf.printf "steals          %12d\n" (Runtime.Db.n_steals db);
+  if router = Reactdb.Config.Cost then
     Printf.printf "cost-routed     %12d\n"
-      (Array.fold_left (fun a s -> a + s.Runtime.Db.ss_routed_by_cost) 0 stats)
-  end;
+      (Array.fold_left
+         (fun a s -> a + s.Runtime.Db.ss_routed_by_cost)
+         0 (Runtime.Db.sched_stats db));
   if Chaos.is_active chaos then
     Printf.printf "chaos           %12s (%d injections / %d probes)\n"
       (Chaos.to_string chaos) (Chaos.injections chaos) (Chaos.probes chaos);
@@ -611,15 +609,6 @@ let router_arg =
            picks the least-loaded admissible domain; single-container \
            commits re-pin to the owner).")
 
-let steal_arg =
-  Arg.(
-    value & flag
-    & info [ "steal" ]
-        ~doc:
-          "Enable work stealing: idle domains take half the waiting root \
-           jobs from the deepest peer mailbox (internal traffic is never \
-           stolen; commits re-pin to the owning domain).")
-
 let replicas_arg =
   Arg.(
     value & opt int 0
@@ -646,7 +635,7 @@ let run_parallel_term =
   Term.(
     const run_parallel_cmd $ workload_arg $ scale_arg $ theta_arg
     $ workers_arg $ domains_arg $ wall_duration_arg $ retries_arg
-    $ deadline_arg $ mailbox_cap_arg $ chaos_arg $ router_arg $ steal_arg
+    $ deadline_arg $ mailbox_cap_arg $ chaos_arg $ router_arg
     $ replicas_arg $ failover_at_arg)
 
 let run_parallel_info =

@@ -1,6 +1,6 @@
 type router = Round_robin | Affinity | Cost
 
-type morph = Sequential | Parallel | Auto
+type morph = Sequential | Parallel
 
 type t = {
   executors_per_container : int array;
@@ -77,7 +77,6 @@ let with_morph t morph = { t with morph }
 let morph_name = function
   | Sequential -> "sequential"
   | Parallel -> "parallel"
-  | Auto -> "auto"
 
 let n_containers t = Array.length t.executors_per_container
 let total_executors t = Array.fold_left ( + ) 0 t.executors_per_container
@@ -119,7 +118,6 @@ module Spec = struct
           { spec with strategy = SN; smorph = Parallel }
         | [ "morph"; "sequential" ] -> { spec with smorph = Sequential }
         | [ "morph"; "parallel" ] -> { spec with smorph = Parallel }
-        | [ "morph"; "auto" ] -> { spec with smorph = Auto }
         | [ "executors"; n ] -> { spec with executors = int_of_string n }
         | [ "affinity"; "on" ] -> { spec with affinity = true }
         | [ "affinity"; "off" ] -> { spec with affinity = false }

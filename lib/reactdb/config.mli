@@ -28,17 +28,8 @@ type router = Round_robin | Affinity | Cost
     both formulations consult this knob (e.g.
     [Workloads.Smallbank.formulation_for]), fulfilling the "morph the same
     program onto a different deployment by changing the config" claim for
-    intra-transaction parallelism.
-
-    [Auto] folds the morph decision into the runtime's cost-aware router:
-    each root transaction is resolved to [Sequential] or [Parallel] at
-    admission from live load signals (queue depth and executor busyness) —
-    fan out when the deployment has idle capacity to absorb the parallel
-    sub-calls, stay sequential when executors are saturated and the
-    fan-out would only add coordination overhead. Workload request
-    builders pass [Auto] through and the backend resolves it per root via
-    the declared {!Reactor.rtype.rt_morphs} pairs. *)
-type morph = Sequential | Parallel | Auto
+    intra-transaction parallelism. *)
+type morph = Sequential | Parallel
 
 type t = {
   executors_per_container : int array;
@@ -110,7 +101,7 @@ val total_executors : t -> int
 
 (** Parse the textual config format. Lines: [strategy shared-nothing] |
     [strategy shared-nothing-async] | [strategy shared-everything],
-    [morph sequential|parallel|auto] (formulation morph, orthogonal to the
+    [morph sequential|parallel] (formulation morph, orthogonal to the
     strategy line; [shared-nothing-async] implies [morph parallel]),
     [executors N] (shared-everything),
     [affinity on|off], [mpl N], [groups a,b;c,d] (shared-nothing; reactors

@@ -103,10 +103,6 @@ type t = {
       (* live snapshot readers per snapshot epoch; the GC horizon is the
          minimum live epoch *)
   mutable n_ro_commits : int;
-  mutable auto_seq : int;
-  mutable auto_par : int;
-      (* morph-Auto resolution counts: roots routed to the sequential /
-         parallel formulation *)
   rorder : string list;
       (* reactor declaration order, for deterministic [placements] *)
   (* -- live reconfiguration (DESIGN.md §11) ----------------------------
@@ -920,24 +916,6 @@ let do_commit db root ex =
 let bump tbl key =
   Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
 
-(* Morph-Auto load signal: fan a root out into its parallel formulation
-   only when the deployment has idle execution capacity to absorb the
-   concurrent sub-calls — here, when fewer than half the executors are
-   currently running or holding admitted roots. Saturated deployments stay
-   sequential: the fan-out would only add dispatch and coordination
-   overhead to already-queued work. *)
-let auto_parallel_ok db =
-  let busy = ref 0 and total = ref 0 in
-  Array.iter
-    (fun cont ->
-      Array.iter
-        (fun ex ->
-          incr total;
-          if ex.core_busy || ex.active_roots > 0 then incr busy)
-        cont.cexecutors)
-    db.containers;
-  2 * !busy < !total
-
 let exec_txn ?(retry = 0) ?deadline_us db ~reactor ~proc ~args =
   let p = db.prof in
   let t_start = Engine.current_time () in
@@ -965,20 +943,6 @@ let exec_txn ?(retry = 0) ?deadline_us db ~reactor ~proc ~args =
   (match Hashtbl.find_opt db.migrating reactor with
   | Some m when rgen > m.mg_cutoff -> mig_stub_park m
   | _ -> ());
-  (* Morph-Auto: resolve a sequential-formulation root to its declared
-     parallel twin when live load signals leave capacity for the fan-out. *)
-  let proc =
-    if db.cfg.Config.morph <> Config.Auto then proc
-    else
-      match Reactor.morph_target rst.rtype proc with
-      | Some par when auto_parallel_ok db ->
-        db.auto_par <- db.auto_par + 1;
-        par
-      | Some _ ->
-        db.auto_seq <- db.auto_seq + 1;
-        proc
-      | None -> proc
-  in
   (* Declared-read-only roots freeze a snapshot epoch up front: the body
      reads version chains at that epoch and the commit protocol is skipped
      entirely (no read set, no locks, no validation, no 2PC). *)
@@ -1312,8 +1276,6 @@ let create eng decl cfg prof =
       snapshots_enabled = true;
       snap_live = Hashtbl.create 16;
       n_ro_commits = 0;
-      auto_seq = 0;
-      auto_par = 0;
       rorder = List.map (fun e -> e.Bootstrap.bs_name) entries;
       mig_gen = 0;
       mig_inflight = [| 0; 0 |];
@@ -1390,8 +1352,6 @@ let reset_stats db =
   db.aborted <- 0;
   db.n_flushes <- 0;
   db.n_ro_commits <- 0;
-  db.auto_seq <- 0;
-  db.auto_par <- 0;
   Hashtbl.reset db.abort_reasons;
   (* The history log is NOT cleared: serializability certification needs
      every installed version, including warm-up transactions whose writes
@@ -1416,7 +1376,6 @@ let set_mailbox_cap db cap = db.mailbox_cap <- cap
 let set_snapshots db b = db.snapshots_enabled <- b
 let snapshots_enabled db = db.snapshots_enabled
 let n_readonly_commits db = db.n_ro_commits
-let auto_morphs db = (db.auto_seq, db.auto_par)
 let wal_error db = db.wal_error
 let n_log_flushes db = db.n_flushes
 let enable_history db = db.record_history <- true

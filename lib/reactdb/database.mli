@@ -181,10 +181,6 @@ val gc_horizon : t -> int
     bootstrap / {!reset_stats}). *)
 val n_readonly_commits : t -> int
 
-(** [(sequential, parallel)] resolution counts of the [Config.Auto]
-    morph router (since bootstrap / {!reset_stats}). *)
-val auto_morphs : t -> int * int
-
 (** {1 Statistics} *)
 
 val n_committed : t -> int

@@ -15,13 +15,11 @@ type rtype = {
   rt_indexes : (string * (string * string list) list) list;
   rt_procs : (string * proc) list;
   rt_readonly : string list;
-  rt_morphs : (string * string) list;
 }
 
-let rtype ~name ~schemas ?(indexes = []) ~procs ?(readonly = []) ?(morphs = [])
-    () =
+let rtype ~name ~schemas ?(indexes = []) ~procs ?(readonly = []) () =
   { rt_name = name; rt_schemas = schemas; rt_indexes = indexes;
-    rt_procs = procs; rt_readonly = readonly; rt_morphs = morphs }
+    rt_procs = procs; rt_readonly = readonly }
 
 type decl = {
   types : rtype list;
@@ -57,12 +55,6 @@ let find_proc rt name =
       (Printf.sprintf "Reactor: type %s has no procedure %S" rt.rt_name name)
 
 let proc_readonly rt name = List.mem name rt.rt_readonly
-let morph_target rt name = List.assoc_opt name rt.rt_morphs
-
-let morph_of rt name =
-  List.find_map
-    (fun (seq, par) -> if par = name then Some seq else None)
-    rt.rt_morphs
 
 let check_unique what names =
   let seen = Hashtbl.create 16 in
@@ -103,18 +95,7 @@ let validate d =
               (Printf.sprintf
                  "Reactor: type %s declares unknown procedure %S read-only"
                  t.rt_name p))
-        t.rt_readonly;
-      List.iter
-        (fun (seq, par) ->
-          List.iter
-            (fun p ->
-              if not (List.mem_assoc p t.rt_procs) then
-                invalid_arg
-                  (Printf.sprintf
-                     "Reactor: type %s declares a morph over unknown procedure %S"
-                     t.rt_name p))
-            [ seq; par ])
-        t.rt_morphs)
+        t.rt_readonly)
     d.types;
   List.iter (fun (_, ty) -> ignore (find_type d ty)) d.reactors;
   List.iter (fun (r, _) -> ignore (type_of_reactor d r)) d.loaders

@@ -59,19 +59,13 @@ type proc = ctx -> Util.Value.t list -> Util.Value.t
     execute them against a frozen snapshot epoch with no read-set tracking,
     no locks, no validation and no two-phase commit — they can never abort
     on a concurrency conflict. A declared-read-only procedure that mutates
-    state aborts with [Occ.Txn.Abort].
-
-    [rt_morphs] pairs alternative formulations of the same logical
-    procedure, (sequential name, parallel name), letting the runtime morph
-    an invocation between them (e.g. under {!Config.Auto} the router picks
-    a formulation per root from live load signals). *)
+    state aborts with [Occ.Txn.Abort]. *)
 type rtype = {
   rt_name : string;
   rt_schemas : Storage.Schema.t list;
   rt_indexes : (string * (string * string list) list) list;
   rt_procs : (string * proc) list;
   rt_readonly : string list;
-  rt_morphs : (string * string) list;
 }
 
 val rtype :
@@ -80,7 +74,6 @@ val rtype :
   ?indexes:(string * (string * string list) list) list ->
   procs:(string * proc) list ->
   ?readonly:string list ->
-  ?morphs:(string * string) list ->
   unit ->
   rtype
 
@@ -121,15 +114,9 @@ val find_proc : rtype -> string -> proc
 (** [proc_readonly rt name] — is [name] declared read-only in [rt]? *)
 val proc_readonly : rtype -> string -> bool
 
-(** [morph_target rt seq] is the parallel formulation paired with [seq],
-    and [morph_of rt par] the sequential one paired with [par], if any. *)
-val morph_target : rtype -> string -> string option
-
-val morph_of : rtype -> string -> string option
-
 (** [validate d] checks the declaration: type names unique, reactor names
     unique, reactor types declared, loader names declared, procedure names
-    unique per type, read-only and morph declarations naming real
+    unique per type, read-only declarations naming real
     procedures. Raises [Invalid_argument]. *)
 val validate : decl -> unit
 

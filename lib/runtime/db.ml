@@ -70,26 +70,19 @@ type outcome = {
 
 type job = unit -> unit
 
-(* Mailbox traffic is typed so a thief can tell relocatable work apart:
-   [Root] is an admitted root transaction, parameterized over the executor
-   that actually runs it — work stealing and cost routing rebind it. [Job]
-   is internal traffic (fiber resumptions, 2PC votes and acks, forwarding
-   hops, snapshots), which is never stolen: it must run on the exact domain
-   it was addressed to. *)
-type msg = Job of job | Root of (exec -> unit)
-
-and exec = {
+(* Every mailbox message runs on the domain whose mailbox it was pushed
+   to: root transactions, fiber resumptions, 2PC votes and acks,
+   forwarding hops and snapshots alike. *)
+type exec = {
   eid : int;
-  mb : msg Mailbox.t;
+  mb : job Mailbox.t;
   mutable busy_s : float;  (* owning domain only; read via a snapshot job *)
-  (* Dynamic-scheduling signals. Atomics because peers read (and the
+  (* Routing and load signals. Atomics because peers read (and the
      router writes [qdepth_ewma]) concurrently; all are advisory — a stale
      read skews a routing score, never correctness. *)
   qdepth_ewma : float Atomic.t;  (* EWMA of mailbox depth, router-refreshed *)
   busy_frac : float Atomic.t;  (* owner-published busy fraction per window *)
   mean_job_us : float Atomic.t;  (* owner-published EWMA of message cost *)
-  steals_in : int Atomic.t;  (* roots this domain stole from peers *)
-  steals_out : int Atomic.t;  (* roots peers stole from this mailbox *)
   routed_by_cost : int Atomic.t;  (* roots the cost router placed here off-home *)
   sheds : int Atomic.t;  (* admission refusals against this mailbox *)
 }
@@ -137,7 +130,6 @@ type t = {
   entries : Reactdb.Bootstrap.entry list;
   table_owner : (int, string * string) Hashtbl.t;
       (* table uid -> (reactor, table); read-only after bootstrap *)
-  steal : bool;
   epoch_len : float;
   wal : wal_sink option;
   chaos : Chaos.t;
@@ -165,8 +157,6 @@ type t = {
          in flight; holds the snapshot boundary below any epoch that could
          still produce an install *)
   n_ro_commits : int Atomic.t;
-  auto_seq : int Atomic.t;  (* Config.Auto morphs resolved sequential *)
-  auto_par : int Atomic.t;  (* Config.Auto morphs resolved parallel *)
   submitted : int Atomic.t;
   completed : int Atomic.t;
   (* Live-reconfiguration state (DESIGN.md §11). [mig_gen] is the placement
@@ -225,59 +215,9 @@ let run_fiber db ex job =
           | Suspend register ->
             Some
               (fun (k : (a, unit) continuation) ->
-                register (fun v ->
-                    Mailbox.push ex.mb (Job (fun () -> continue k v))))
+                register (fun v -> Mailbox.push ex.mb (fun () -> continue k v)))
           | _ -> None);
     }
-
-let run_msg db ex = function
-  | Job j -> run_fiber db ex j
-  | Root r -> run_fiber db ex (fun () -> r ex)
-
-(* Work stealing: an idle domain raids the deepest peer mailbox for [Root]
-   messages (DESIGN.md §8 — internal traffic is never relocatable). The
-   first stolen root runs immediately; the rest land on the thief's own
-   mailbox in one batched push, where they stay stealable, so a large haul
-   keeps rebalancing.
-
-   Depth threshold: a victim with a near-empty queue is about to drain it
-   anyway — migrating those messages buys nothing and costs a mailbox
-   round trip plus a re-pinned commit each. Only queues at least this deep
-   are worth raiding. *)
-let min_steal_depth = 4
-
-let try_steal db ex =
-  let best = ref None and bestq = ref (min_steal_depth - 1) in
-  Array.iter
-    (fun px ->
-      if px.eid <> ex.eid then begin
-        let q = Mailbox.length px.mb in
-        if q > !bestq then begin
-          bestq := q;
-          best := Some px
-        end
-      end)
-    db.execs;
-  match !best with
-  | None -> None
-  | Some victim -> (
-    match
-      Mailbox.steal_half victim.mb
-        ~stealable:(function Root _ -> true | Job _ -> false)
-    with
-    | [] -> None
-    | first :: rest ->
-      let n = 1 + List.length rest in
-      ignore (Atomic.fetch_and_add victim.steals_out n);
-      ignore (Atomic.fetch_and_add ex.steals_in n);
-      (match rest with
-      | [] -> ()
-      | _ -> (
-        (* own mailbox can only be closed after quiescence, when no root
-           can remain anywhere to steal; run inline if it somehow is *)
-        try Mailbox.push_many ex.mb rest
-        with Mailbox.Closed -> List.iter (run_msg db ex) rest));
-      Some first)
 
 (* Busy-fraction publication window: long enough to smooth per-message
    noise, short enough that the cost router sees load shifts quickly. *)
@@ -299,7 +239,7 @@ let domain_loop db ex =
        this mailbox waits out the stall. One branch when chaos is off. *)
     Chaos.inject_wall db.chaos Chaos.Stall_domain;
     let t_run = Unix.gettimeofday () in
-    run_msg db ex msg;
+    run_fiber db ex msg;
     let t_done = Unix.gettimeofday () in
     let d = t_done -. t_run in
     ex.busy_s <- ex.busy_s +. d;
@@ -308,41 +248,14 @@ let domain_loop db ex =
     Atomic.set ex.mean_job_us ((0.9 *. m) +. (0.1 *. d *. 1e6));
     publish t_done
   in
-  if not db.steal then begin
-    (* Classic loop: park in [pop_wait] while empty. *)
-    let rec loop () =
-      match Mailbox.pop_wait ex.mb with
-      | None -> ()
-      | Some msg ->
-        run msg;
-        loop ()
-    in
-    loop ()
-  end
-  else begin
-    (* Stealing domains poll instead of parking ([Condition] has no timed
-       wait): drain own mailbox first, then attempt one steal, then back
-       off exponentially to 1 ms while everything stays dry. Exits once the
-       own mailbox is closed and drained, like [pop_wait] would. *)
-    let rec loop idle_s =
-      match Mailbox.try_pop ex.mb with
-      | Some msg ->
-        run msg;
-        loop 2e-5
-      | None ->
-        if Mailbox.is_closed ex.mb then ()
-        else (
-          match try_steal db ex with
-          | Some msg ->
-            run msg;
-            loop 2e-5
-          | None ->
-            publish (Unix.gettimeofday ());
-            Unix.sleepf idle_s;
-            loop (Float.min (idle_s *. 2.) 1e-3))
-    in
-    loop 2e-5
-  end
+  let rec loop () =
+    match Mailbox.pop_wait ex.mb with
+    | None -> ()
+    | Some msg ->
+      run msg;
+      loop ()
+  in
+  loop ()
 
 (* Await inside a fiber: free if resolved, otherwise suspend until filled. *)
 let fiber_await (iv : 'a Ivar.t) : 'a =
@@ -638,9 +551,7 @@ and do_call db frame ~reactor ~proc ~args =
       let iv = Ivar.create () in
       let ship () =
         let rex = db.execs.(Atomic.get tplace.rhome) in
-        Mailbox.push rex.mb
-          (Job
-             (fun () ->
+        Mailbox.push rex.mb (fun () ->
             (* Chaos: the shipped sub-call stalls before it starts executing
                on the destination domain. *)
             Chaos.inject_wall db.chaos Chaos.Delay_delivery;
@@ -661,7 +572,7 @@ and do_call db frame ~reactor ~proc ~args =
             | Ok _ -> ());
             Hashtbl.remove root.active_set reactor;
             Mutex.unlock root.rmu;
-            Ivar.fill iv res))
+            Ivar.fill iv res)
       in
       (match resolved with
       | Some _ -> ship ()
@@ -761,20 +672,6 @@ let gc_horizon db =
 
 let install_horizon db =
   if Atomic.get db.snap_enabled then Some (gc_horizon db) else None
-
-(* Config.Auto morph heuristic: resolve a root to its parallel formulation
-   only when at least half the domains have idle capacity to absorb the
-   fan-out — the runtime mirror of the simulator's idle-executor rule, read
-   from the published busy fractions and live queue depths. *)
-let auto_parallel_ok db =
-  let n = Array.length db.execs in
-  let busy = ref 0 in
-  Array.iter
-    (fun ex ->
-      if Atomic.get ex.busy_frac > 0.5 || Mailbox.length ex.mb > 1 then
-        incr busy)
-    db.execs;
-  2 * !busy < n
 
 (* ------------------------------------------------------------------ *)
 (* Group-commit WAL sink. The epoch rule (DESIGN.md §8): a redo entry is
@@ -894,13 +791,13 @@ type commit_err =
   | C_timeout
 
 (* [coord] is the domain the root's fiber is physically running on — its
-   home unless the root was stolen or cost-routed. Each participant's
+   home unless the root was cost-routed. Each participant's
    prepare/install/release still executes on the domain owning that
    container; [coord] only decides which participant (if any) is inlined. *)
 let two_phase db root ~coord containers ~epoch =
   let remote c f =
     let iv = Ivar.create () in
-    Mailbox.push db.execs.(c).mb (Job (fun () -> Ivar.fill iv (f ())));
+    Mailbox.push db.execs.(c).mb (fun () -> Ivar.fill iv (f ()));
     iv
   in
   (* One participant's prepare: refuse outright when the root's deadline
@@ -1017,32 +914,30 @@ let do_commit db root ~run_eid ~epoch =
       if timed then Obs.Trace.add root.tr Obs.Phase.Commit (now_us () -. t1);
       Ok tid)
   | [ c ] ->
-    (* Stolen or cost-routed single-container root: the body ran off-home,
-       so the whole prepare/compute-TID/install re-pins to the owning
-       domain as one message — container-local structural access stays
+    (* Cost-routed single-container root: the body ran off-home, so the
+       whole prepare/compute-TID/install re-pins to the owning domain as
+       one message — container-local structural access stays
        owner-serialized at the price of a single round trip. *)
     let timed = Obs.Trace.enabled root.tr in
     let t0 = if timed then now_us () else 0. in
     let iv = Ivar.create () in
-    Mailbox.push db.execs.(c).mb
-      (Job
-         (fun () ->
-           Ivar.fill iv
-             (try
-                if deadline_expired root then (Error C_timeout, 0.)
-                else
-                  match Occ.Commit.prepare root.txn ~container:c with
-                  | Error r -> (Error (C_fail r), 0.)
-                  | Ok () ->
-                    Chaos.inject_wall db.chaos Chaos.Stall_prepare;
-                    let ti = if timed then now_us () else 0. in
-                    let tid = Occ.Commit.compute_tid root.txn ~epoch in
-                    Occ.Commit.install ?horizon:(install_horizon db) root.txn
-                      ~container:c ~tid;
-                    (Ok tid, if timed then now_us () -. ti else 0.)
-              with e ->
-                record_fatal db e;
-                (Error C_internal, 0.))));
+    Mailbox.push db.execs.(c).mb (fun () ->
+        Ivar.fill iv
+          (try
+             if deadline_expired root then (Error C_timeout, 0.)
+             else
+               match Occ.Commit.prepare root.txn ~container:c with
+               | Error r -> (Error (C_fail r), 0.)
+               | Ok () ->
+                 Chaos.inject_wall db.chaos Chaos.Stall_prepare;
+                 let ti = if timed then now_us () else 0. in
+                 let tid = Occ.Commit.compute_tid root.txn ~epoch in
+                 Occ.Commit.install ?horizon:(install_horizon db) root.txn
+                   ~container:c ~tid;
+                 (Ok tid, if timed then now_us () -. ti else 0.)
+           with e ->
+             record_fatal db e;
+             (Error C_internal, 0.)));
     let r, commit_us = fiber_await iv in
     if timed then begin
       (* Messaging and owner-queue residence count toward validation, the
@@ -1056,8 +951,8 @@ let do_commit db root ~run_eid ~epoch =
   | containers -> two_phase db root ~coord:run_eid containers ~epoch
 
 (* ------------------------------------------------------------------ *)
-(* Root execution: one [Root] mailbox message, run by whichever domain
-   dequeued (or stole) it — [run_ex]. The body executes on [run_ex]; the
+(* Root execution: one root mailbox message, run by the domain it was
+   pushed to — [run_ex]. The body executes on [run_ex]; the
    commit protocol re-pins every container's prepare/install to its owning
    domain. Guaranteed to call [k] and bump [completed] exactly once —
    quiescence depends on it. *)
@@ -1202,8 +1097,8 @@ let exec_root db ~reactor ~proc ~args ~ro ~retry ~rgen ~t_submit ~deadline_us
   | None -> ()
   | Some c -> (
     (* Slot ownership follows physical execution: this message runs on
-       [ex]'s domain, so it records into slot [ex.eid] — with stealing or
-       cost routing that may differ from the reactor's home container. *)
+       [ex]'s domain, so it records into slot [ex.eid] — with cost routing
+       that may differ from the reactor's home container. *)
     match abort_cause with
     | None ->
       Obs.Collector.record_commit c ~container:ex.eid ~participants ~retry
@@ -1281,21 +1176,6 @@ let choose_cost db ~home =
 let submit ?(retry = 0) ?deadline_us db ~reactor ~proc ~args ~k =
   let place = reactor_place db reactor in
   let rt = place.re.Reactdb.Bootstrap.bs_rtype in
-  (* Config.Auto: resolve a declared morph pair per root from live load —
-     parallel when idle capacity can absorb the fan-out, else sequential.
-     Generators emit the sequential name under [Auto]. *)
-  let proc =
-    if db.cfg.Reactdb.Config.morph <> Reactdb.Config.Auto then proc
-    else
-      match Reactor.morph_target rt proc with
-      | Some par when auto_parallel_ok db ->
-        Atomic.incr db.auto_par;
-        par
-      | Some _ ->
-        Atomic.incr db.auto_seq;
-        proc
-      | None -> proc
-  in
   let ro = Atomic.get db.snap_enabled && Reactor.proc_readonly rt proc in
   Atomic.incr db.submitted;
   (* Placement-generation registration: the matching deregistration rides
@@ -1338,36 +1218,27 @@ let submit ?(retry = 0) ?deadline_us db ~reactor ~proc ~args ~k =
        suspended-fiber resumptions, 2PC traffic, stub replays — uses
        unconditional [push]: shedding those would wedge an in-flight
        transaction instead of refusing a new one. *)
+    let run_at c () = job db.execs.(c) in
     let accepted =
       if replayed then begin
-        (if ro then
-           Mailbox.push db.execs.(home).mb (Job (fun () -> job db.execs.(home)))
-         else Mailbox.push db.execs.(home).mb (Root job));
+        Mailbox.push db.execs.(home).mb (run_at home);
         true
       end
-      else if ro then
-        (* Read-only snapshot roots are home-pinned: pushed as [Job] they
-           are never stolen or cost-routed, so a snapshot body only ever
-           walks version chains on the domain that owns the records — reads
-           cannot race a concurrent install. Admission control still
-           applies. *)
-        Mailbox.try_push db.execs.(home).mb
-          (Job (fun () -> job db.execs.(home)))
       else if ingress = home || by_cost then
-        (* Direct admission; a cost-routed off-home root executes at the
+        (* Direct admission. Read-only snapshot roots always take this
+           branch at their home, so a snapshot body only ever walks version
+           chains on the domain that owns the records — reads cannot race a
+           concurrent install. A cost-routed off-home root executes at the
            ingress domain and re-pins its commit. *)
-        Mailbox.try_push db.execs.(ingress).mb (Root job)
+        Mailbox.try_push db.execs.(ingress).mb (run_at ingress)
       else
         (* Misrouted round-robin ingress pays a forwarding hop to the owner
-           — the locality cost the affinity router avoids. The hop itself is
-           internal traffic; the forwarded root becomes stealable again once
-           it reaches the home mailbox. The owner is re-read at hop time so
-           a flip between ingress and hop can't strand the root on a stale
-           home. *)
-        Mailbox.try_push db.execs.(ingress).mb
-          (Job
-             (fun () ->
-               Mailbox.push db.execs.(Atomic.get place.rhome).mb (Root job)))
+           — the locality cost the affinity router avoids. The owner is
+           re-read at hop time so a flip between ingress and hop can't
+           strand the root on a stale home. *)
+        Mailbox.try_push db.execs.(ingress).mb (fun () ->
+            let h = Atomic.get place.rhome in
+            Mailbox.push db.execs.(h).mb (run_at h))
     in
     if accepted && by_cost then Atomic.incr db.execs.(ingress).routed_by_cost;
     if not accepted then begin
@@ -1533,7 +1404,7 @@ let reactors_on db c =
 
 (* ------------------------------------------------------------------ *)
 
-let start ?(chaos = Chaos.none) ?mailbox_cap ?(steal = false) ?wal
+let start ?(chaos = Chaos.none) ?mailbox_cap ?wal
     ?(epoch_len_s = default_epoch_len_s) ?(group_tick_s = 0.001) decl cfg =
   let entries, table_owner = Reactdb.Bootstrap.build decl cfg in
   let n = Reactdb.Config.n_containers cfg in
@@ -1546,8 +1417,6 @@ let start ?(chaos = Chaos.none) ?mailbox_cap ?(steal = false) ?wal
           qdepth_ewma = Atomic.make 0.;
           busy_frac = Atomic.make 0.;
           mean_job_us = Atomic.make 0.;
-          steals_in = Atomic.make 0;
-          steals_out = Atomic.make 0;
           routed_by_cost = Atomic.make 0;
           sheds = Atomic.make 0;
         })
@@ -1581,7 +1450,6 @@ let start ?(chaos = Chaos.none) ?mailbox_cap ?(steal = false) ?wal
       reactors;
       entries;
       table_owner;
-      steal;
       epoch_len = Float.max 1e-4 epoch_len_s;
       wal = sink;
       chaos;
@@ -1604,8 +1472,6 @@ let start ?(chaos = Chaos.none) ?mailbox_cap ?(steal = false) ?wal
       snap_live = Hashtbl.create 8;
       commit_inflight = Hashtbl.create 8;
       n_ro_commits = Atomic.make 0;
-      auto_seq = Atomic.make 0;
-      auto_par = Atomic.make 0;
       submitted = Atomic.make 0;
       completed = Atomic.make 0;
       mig_admin = Mutex.create ();
@@ -1664,7 +1530,6 @@ let n_aborted db = Atomic.get db.aborted
 let set_snapshots db on = Atomic.set db.snap_enabled on
 let snapshots_enabled db = Atomic.get db.snap_enabled
 let n_readonly_commits db = Atomic.get db.n_ro_commits
-let auto_morphs db = (Atomic.get db.auto_seq, Atomic.get db.auto_par)
 
 let aborts_by_reason db =
   List.filter
@@ -1680,11 +1545,9 @@ let aborts_by_reason db =
 let attach_obs db c = db.obs <- Some c
 let n_fatal db = Atomic.get db.fatal
 
-(* --- dynamic-scheduling observability --- *)
+(* --- scheduler observability --- *)
 
 type sched_stat = {
-  ss_steals_in : int;
-  ss_steals_out : int;
   ss_routed_by_cost : int;
   ss_sheds : int;
   ss_qdepth_ewma : float;
@@ -1694,18 +1557,11 @@ let sched_stats db =
   Array.map
     (fun ex ->
       {
-        ss_steals_in = Atomic.get ex.steals_in;
-        ss_steals_out = Atomic.get ex.steals_out;
         ss_routed_by_cost = Atomic.get ex.routed_by_cost;
         ss_sheds = Atomic.get ex.sheds;
         ss_qdepth_ewma = Atomic.get ex.qdepth_ewma;
       })
     db.execs
-
-let n_steals db =
-  Array.fold_left
-    (fun a ex -> a + Atomic.get ex.steals_in)
-    0 db.execs
 
 (* --- live load signals (autoscaler inputs) --- *)
 
@@ -1736,8 +1592,6 @@ let publish_sched_obs db =
     Array.iter
       (fun ex ->
         Obs.Collector.set_sched c ~container:ex.eid
-          ~steals_in:(Atomic.get ex.steals_in)
-          ~steals_out:(Atomic.get ex.steals_out)
           ~routed_by_cost:(Atomic.get ex.routed_by_cost)
           ~qdepth_ewma:(Atomic.get ex.qdepth_ewma))
       db.execs
@@ -1754,7 +1608,7 @@ let busy_times db =
   Array.map
     (fun ex ->
       let iv = Ivar.create () in
-      Mailbox.push ex.mb (Job (fun () -> Ivar.fill iv ex.busy_s));
+      Mailbox.push ex.mb (fun () -> Ivar.fill iv ex.busy_s);
       iv)
     db.execs
   |> Array.map Ivar.read_block

@@ -34,9 +34,9 @@
     Round-robin routing is honoured as ingress distribution: the root
     request lands on the round-robin-chosen domain and pays a forwarding
     hop to the owner, quantifying what affinity routing saves. The
-    [Cost] router and opt-in work stealing (see {!start}) relax the
-    home-domain-only placement of root {e bodies} while keeping all
-    structural mutations on the owning domain. *)
+    [Cost] router (see {!start}) relaxes the home-domain-only placement of
+    root {e bodies} while keeping all structural mutations on the owning
+    domain. *)
 
 type t
 
@@ -64,18 +64,14 @@ type outcome = {
     [Obs.Abort.Overloaded] outcome instead of enqueuing it — internal
     runtime traffic is never shed.
 
-    {3 Dynamic scheduling}
+    {3 Cost routing}
 
-    [steal] (default false) turns on work stealing: an idle domain takes
-    half the {e root} jobs (never internal traffic — resumptions, 2PC
-    messages, forwards) from the deepest peer mailbox and runs their
-    procedure bodies locally; the stolen root's commit is re-pinned to
-    its home domain, so every structural mutation (prepare / install /
-    release) still happens on the owner. Safe for update-in-place
-    workloads; see DESIGN.md §8 for the relocation precondition.
     [cfg.router = Cost] picks each root's ingress domain by blending the
     [Costmodel] estimate with live load signals (queue-depth EWMA, busy
-    fraction, shed pressure) instead of always using the home domain.
+    fraction, shed pressure) instead of always using the home domain. A
+    root admitted off-home runs its procedure bodies there; its commit is
+    re-pinned to the owning domain, so every structural mutation (prepare
+    / install / release) still happens on the owner. See DESIGN.md §8.
 
     {3 Durability}
 
@@ -89,7 +85,6 @@ type outcome = {
 val start :
   ?chaos:Chaos.t ->
   ?mailbox_cap:int ->
-  ?steal:bool ->
   ?wal:Wal.t ->
   ?epoch_len_s:float ->
   ?group_tick_s:float ->
@@ -225,7 +220,7 @@ val reactors_on : t -> int -> string list
     resolve through per-record version chains; the commit protocol is
     skipped entirely — no read-set, no locks, no validation, no 2PC —
     making read-only roots abort-free by construction. Read-only roots
-    are additionally home-pinned (never stolen or cost-routed) so every
+    are additionally home-pinned (never cost-routed) so every
     version-chain walk happens on the domain owning the records.
 
     While enabled (the default), every install also retires overwritten
@@ -257,10 +252,6 @@ val gc_horizon : t -> int
 (** Committed roots that ran as read-only snapshot transactions. *)
 val n_readonly_commits : t -> int
 
-(** [(sequential, parallel)] resolution counts of the [Config.Auto]
-    morph router. *)
-val auto_morphs : t -> int * int
-
 (** {1 Statistics} (monotone; atomic counters shared by all domains) *)
 
 (** Committed root transactions. *)
@@ -282,13 +273,11 @@ val n_fatal : t -> int
 
 val fatal_messages : t -> string list
 
-(** {1 Dynamic-scheduling statistics} *)
+(** {1 Scheduler statistics} *)
 
 (** One domain's scheduler counters (monotone atomics; [ss_qdepth_ewma]
     is the last published mailbox-depth EWMA, a gauge). *)
 type sched_stat = {
-  ss_steals_in : int;  (** root jobs this domain stole from peers *)
-  ss_steals_out : int;  (** root jobs peers stole from this domain *)
   ss_routed_by_cost : int;
       (** roots the cost router admitted here instead of their home *)
   ss_sheds : int;  (** roots shed at this ingress (mailbox full) *)
@@ -298,9 +287,6 @@ type sched_stat = {
 (** Per-domain snapshot, indexed by domain id. Safe any time (atomic
     reads), exact at quiescence. *)
 val sched_stats : t -> sched_stat array
-
-(** Total stolen root jobs ([ss_steals_in] summed over domains). *)
-val n_steals : t -> int
 
 (** One domain's live load signals — the {!Autoscaler}'s decision inputs.
     All advisory: a stale read skews a policy decision, never

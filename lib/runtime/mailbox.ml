@@ -36,22 +36,6 @@ let push t x =
   if t.waiting then Condition.signal t.nonempty;
   Mutex.unlock t.mu
 
-let push_many t xs =
-  if xs <> [] then begin
-    Mutex.lock t.mu;
-    if t.closed then begin
-      Mutex.unlock t.mu;
-      raise Closed
-    end;
-    List.iter
-      (fun x ->
-        Queue.add x t.inbox;
-        Atomic.incr t.size)
-      xs;
-    if t.waiting then Condition.signal t.nonempty;
-    Mutex.unlock t.mu
-  end
-
 let try_push t x =
   (* Cheap rejection before taking the lock: [size] counts every message
      pushed and not yet consumed, so a full mailbox turns producers away
@@ -71,66 +55,6 @@ let try_push t x =
     if t.waiting then Condition.signal t.nonempty;
     Mutex.unlock t.mu;
     true
-  end
-
-(* Batch admission: one lock acquisition decides the whole prefix. The
-   capacity check repeats per message so a racing [try_push] overshoots by
-   at most its usual one message, never the batch length. *)
-let try_push_many t xs =
-  match xs with
-  | [] -> 0
-  | _ when Atomic.get t.size >= t.capacity -> 0
-  | _ ->
-    Mutex.lock t.mu;
-    if t.closed then begin
-      Mutex.unlock t.mu;
-      raise Closed
-    end;
-    let rec admit n = function
-      | [] -> n
-      | x :: tl ->
-        if Atomic.get t.size >= t.capacity then n
-        else begin
-          Queue.add x t.inbox;
-          Atomic.incr t.size;
-          admit (n + 1) tl
-        end
-    in
-    let n = admit 0 xs in
-    if n > 0 && t.waiting then Condition.signal t.nonempty;
-    Mutex.unlock t.mu;
-    n
-
-(* Steal-half: a thief takes the oldest half (rounded up) of the messages
-   satisfying [stealable], touching only the shared inbox — the consumer's
-   private batch is invisible to other domains by construction, so messages
-   already drained there can never move. Both the kept and the stolen
-   sequences preserve their relative FIFO order. *)
-let steal_half t ~stealable =
-  Mutex.lock t.mu;
-  let k = Queue.fold (fun n x -> if stealable x then n + 1 else n) 0 t.inbox in
-  if k = 0 then begin
-    Mutex.unlock t.mu;
-    []
-  end
-  else begin
-    let target = (k + 1) / 2 in
-    let kept = Queue.create () in
-    let stolen = ref [] and taken = ref 0 in
-    Queue.iter
-      (fun x ->
-        if !taken < target && stealable x then begin
-          stolen := x :: !stolen;
-          incr taken
-        end
-        else Queue.add x kept)
-      t.inbox;
-    t.inbox <- kept;
-    (* stolen messages left this mailbox: its size must reflect that, or
-       admission control would shed against phantom occupancy *)
-    ignore (Atomic.fetch_and_add t.size (- !taken));
-    Mutex.unlock t.mu;
-    List.rev !stolen
   end
 
 (* Swap the shared inbox for the (empty) private batch under the lock. The
@@ -181,9 +105,3 @@ let close t =
   Mutex.unlock t.mu
 
 let length t = Atomic.get t.size
-
-let is_closed t =
-  Mutex.lock t.mu;
-  let c = t.closed in
-  Mutex.unlock t.mu;
-  c

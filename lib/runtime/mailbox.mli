@@ -31,36 +31,12 @@ val create : ?capacity:int -> unit -> 'a t
     @raise Closed after {!close}. *)
 val push : 'a t -> 'a -> unit
 
-(** [push_many t xs] enqueues every message of [xs] in order under one lock
-    acquisition, ignoring [capacity] (same contract as {!push}). Cheaper
-    than repeated {!push} for a batch — one mutex round and at most one
-    consumer wakeup. Thread-safe.
-    @raise Closed after {!close}. *)
-val push_many : 'a t -> 'a list -> unit
-
 (** [try_push t x] enqueues [x] if fewer than [capacity] messages are
     pending, else returns [false] (the overload signal — callers shed the
     work at admission). Under concurrent producers the bound may overshoot
     by at most one message per producer. Thread-safe.
     @raise Closed after {!close}. *)
 val try_push : 'a t -> 'a -> bool
-
-(** [try_push_many t xs] admits the longest prefix of [xs] that fits under
-    [capacity] in one lock acquisition and returns its length; the suffix
-    is shed. Admitted messages keep their order. Overshoot bound as for
-    {!try_push}. Thread-safe.
-    @raise Closed after {!close}. *)
-val try_push_many : 'a t -> 'a list -> int
-
-(** [steal_half t ~stealable] removes and returns the oldest half (rounded
-    up) of the pending messages satisfying [stealable], in their queue
-    order; the rest keep their relative order. Only messages still in the
-    shared inbox are candidates — anything the consumer has already drained
-    into its private batch stays put, so the single-consumer discipline of
-    {!pop_wait}/{!try_pop} is unaffected. Intended for work stealing by
-    idle peer domains; [stealable] must be fast and must not raise. Returns
-    [[]] when nothing qualifies. Thread-safe. *)
-val steal_half : 'a t -> stealable:('a -> bool) -> 'a list
 
 (** [pop_wait t] dequeues the next message, blocking while the mailbox is
     empty and open; [None] once closed and drained. Single consumer only. *)
@@ -74,7 +50,3 @@ val close : 'a t -> unit
 
 (** Messages pushed but not yet popped (racy snapshot, lock-free). *)
 val length : 'a t -> int
-
-(** Whether {!close} has been called (there may still be messages left
-    to drain). *)
-val is_closed : 'a t -> bool

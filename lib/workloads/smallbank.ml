@@ -296,11 +296,6 @@ let customer_type =
         ("noop", noop);
       ]
     ~readonly:[ "balance"; "sum_all" ]
-    ~morphs:
-      [
-        ("multi_transfer_sync", "multi_transfer_collect");
-        ("send_payment_multi_seq", "send_payment_multi_par");
-      ]
     ()
 
 (* --- declaration --- *)
@@ -343,12 +338,10 @@ let formulation_name = function
 (** Deployment morphing (Shah 2022): which multi-transfer formulation the
     deployment's {!Reactdb.Config.morph} knob selects — sequential
     deployments run fully-sync, parallel (shared-nothing-async) ones run
-    the collect fan-out. Under [Auto] the builder emits the sequential
-    formulation and the backend morphs per root via the declared
-    {!Reactor.rtype.rt_morphs} pairs. *)
+    the collect fan-out. *)
 let formulation_for config =
   match config.Reactdb.Config.morph with
-  | Reactdb.Config.Sequential | Reactdb.Config.Auto -> Fully_sync
+  | Reactdb.Config.Sequential -> Fully_sync
   | Reactdb.Config.Parallel -> Collect
 
 (** Build a multi-transfer request from explicit source and destinations. *)
@@ -362,8 +355,7 @@ let multi_transfer_request form ~src ~dests ~amount =
 let send_payment_multi_request config ~src ~dests ~amount =
   let proc =
     match config.Reactdb.Config.morph with
-    | Reactdb.Config.Sequential | Reactdb.Config.Auto ->
-      "send_payment_multi_seq"
+    | Reactdb.Config.Sequential -> "send_payment_multi_seq"
     | Reactdb.Config.Parallel -> "send_payment_multi_par"
   in
   Wl.request src proc (Wl.vf amount :: List.map Wl.vs dests)

@@ -16,10 +16,10 @@
     [balance] and [sum_all] (own plus listed customers' balances via a
     fan-out/collect of [balance] reads) are declared read-only, so they
     run as abort-free snapshot transactions on backends with snapshots
-    enabled. The morph pairs [multi_transfer_sync] →
-    [multi_transfer_collect] and [send_payment_multi_seq] →
-    [send_payment_multi_par] are declared for {!Reactdb.Config.Auto}
-    per-root morphing. *)
+    enabled. The deployment's {!Reactdb.Config.morph} selects between
+    [multi_transfer_sync] and [multi_transfer_collect] (see
+    {!formulation_for}), and between [send_payment_multi_seq] and
+    [send_payment_multi_par] (see {!send_payment_multi_request}). *)
 val customer_type : Reactor.rtype
 
 val customer_name : int -> string

@@ -471,12 +471,6 @@ let warehouse_type =
         ("stock_level", stock_level);
       ]
     ~readonly:[ "order_status"; "stock_level" ]
-    ~morphs:
-      [
-        ("new_order_sync", "new_order_collect");
-        ("payment", "payment_collect");
-        ("delivery", "delivery_collect");
-      ]
     ()
 
 (* --- loading --- *)
@@ -583,7 +577,7 @@ let params ?(sizes = default_sizes) ?(remote_mode = Per_item 0.01)
     run the collect fan-out. *)
 let new_order_proc_for config =
   match config.Reactdb.Config.morph with
-  | Reactdb.Config.Sequential | Reactdb.Config.Auto -> "new_order_sync"
+  | Reactdb.Config.Sequential -> "new_order_sync"
   | Reactdb.Config.Parallel -> "new_order_collect"
 
 (** The payment variant a deployment morph selects: the plain future-get
@@ -591,7 +585,7 @@ let new_order_proc_for config =
     ones. *)
 let payment_proc_for config =
   match config.Reactdb.Config.morph with
-  | Reactdb.Config.Sequential | Reactdb.Config.Auto -> "payment"
+  | Reactdb.Config.Sequential -> "payment"
   | Reactdb.Config.Parallel -> "payment_collect"
 
 (** The delivery variant a deployment morph selects: the in-line district
@@ -599,7 +593,7 @@ let payment_proc_for config =
     parallel ones. *)
 let delivery_proc_for config =
   match config.Reactdb.Config.morph with
-  | Reactdb.Config.Sequential | Reactdb.Config.Auto -> "delivery"
+  | Reactdb.Config.Sequential -> "delivery"
   | Reactdb.Config.Parallel -> "delivery_collect"
 
 let nurand_customer rng sizes =

@@ -31,9 +31,10 @@ val small_sizes : sizes
 
     [order_status] and [stock_level] are declared read-only, so they run
     as abort-free snapshot transactions on backends with snapshots
-    enabled. Morph pairs for {!Reactdb.Config.Auto}: [new_order_sync] →
-    [new_order_collect], [payment] → [payment_collect], [delivery] →
-    [delivery_collect]. *)
+    enabled. The deployment's {!Reactdb.Config.morph} selects between
+    [new_order_sync] and [new_order_collect], [payment] and
+    [payment_collect], [delivery] and [delivery_collect] (see
+    {!new_order_proc_for}, {!payment_proc_for}, {!delivery_proc_for}). *)
 val warehouse_type : Reactor.rtype
 
 (** [warehouse_name i] for the 1-based warehouse index. *)

@@ -80,7 +80,6 @@ let key_type =
         ("multi_read_seq", multi_read ~fan_out:false);
         ("multi_read_par", multi_read ~fan_out:true) ]
     ~readonly:[ "read"; "multi_read_seq"; "multi_read_par" ]
-    ~morphs:[ ("multi_read_seq", "multi_read_par") ]
     ()
 
 let key_name i = Printf.sprintf "k%d" i
@@ -150,7 +149,7 @@ let gen_multi_read rng p config ~container_of =
   in
   let proc =
     match config.Reactdb.Config.morph with
-    | Reactdb.Config.Sequential | Reactdb.Config.Auto -> "multi_read_seq"
+    | Reactdb.Config.Sequential -> "multi_read_seq"
     | Reactdb.Config.Parallel -> "multi_read_par"
   in
   Wl.request root proc (List.map (fun k -> Wl.vs (key_name k)) (remote @ local))

@@ -8,9 +8,9 @@
     both return the total payload length across the keys read).
 
     The three read procedures are declared read-only (abort-free snapshot
-    execution on backends with snapshots enabled); [multi_read_seq] →
-    [multi_read_par] is declared as a morph pair for
-    {!Reactdb.Config.Auto}. *)
+    execution on backends with snapshots enabled). The deployment's
+    {!Reactdb.Config.morph} selects between [multi_read_seq] and
+    [multi_read_par]. *)
 val key_type : Reactor.rtype
 
 val key_name : int -> string

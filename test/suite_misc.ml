@@ -88,7 +88,10 @@ let test_config_errors () =
          ignore (cfg.Reactdb.Config.placement "b")));
   check_bool "bad spec line" true
     (invalidates (fun () ->
-         ignore (Reactdb.Config.Spec.of_string "strategy bogus thing\n")))
+         ignore (Reactdb.Config.Spec.of_string "strategy bogus thing\n")));
+  check_bool "morph auto is not a spec line" true
+    (invalidates (fun () ->
+         ignore (Reactdb.Config.Spec.of_string "morph auto\n")))
 
 let test_config_spec_comments_and_explicit_groups () =
   let spec =

@@ -490,56 +490,6 @@ let test_overload_shed () =
   RDb.shutdown db;
   audit_clean db
 
-(* ------------------------------------------------------------------ *)
-(* Work stealing: a skewed YCSB run (every root homed by a hot container)
-   with stealing on must stay exactly correct — stolen bodies run on thief
-   domains but all structural mutations re-pin to the owner — and the
-   steal counters must balance (every steal-in is someone's steal-out). *)
-
-let test_steal_correctness () =
-  let nk = 32 in
-  let cfg = Reactdb.Config.shared_nothing (chunk 4 (Workloads.Ycsb.keys nk)) in
-  let db = RDb.start ~steal:true (Workloads.Ycsb.decl ~keys:nk ()) cfg in
-  (* theta 0.99: heavy Zipfian skew concentrates roots on a few homes, so
-     idle domains have something to steal *)
-  let p = Workloads.Ycsb.params ~txn_keys:4 ~theta:0.99 nk in
-  let (_ : int) =
-    RDb.Load.run_fixed db ~n_workers:8 ~per_worker:100 ~seed:17 (fun _ rng ->
-        Workloads.Ycsb.gen_multi_update rng p
-          ~container_of:(RDb.container_of db))
-  in
-  check_int "every attempt accounted" 800 (RDb.n_committed db + RDb.n_aborted db);
-  check_bool "made progress" true (RDb.n_committed db > 0);
-  check_int "no fatals" 0 (RDb.n_fatal db);
-  let stats = RDb.sched_stats db in
-  let total_out =
-    Array.fold_left (fun a s -> a + s.RDb.ss_steals_out) 0 stats
-  in
-  check_int "steals balance" (RDb.n_steals db) total_out;
-  RDb.shutdown db;
-  List.iter
-    (fun (_, _, rows) -> check_int "one row per key reactor" 1 (List.length rows))
-    (Faultsim.snapshot (RDb.catalogs db));
-  audit_clean db
-
-(* Stealing with the Smallbank conserving mix: cross-container transfers go
-   through real 2PC while single-container roots may be stolen; money must
-   still be conserved exactly. *)
-let test_steal_smallbank () =
-  let n = 32 in
-  let cfg = Reactdb.Config.shared_nothing (chunk 4 (SB.customers n)) in
-  let db = RDb.start ~steal:true (SB.decl ~customers:n ()) cfg in
-  let (_ : int) =
-    RDb.Load.run_fixed db ~n_workers:8 ~per_worker:75 ~seed:23 (fun _ rng ->
-        SB.gen_conserving rng ~n)
-  in
-  check_int "every attempt accounted" 600 (RDb.n_committed db + RDb.n_aborted db);
-  check_int "no fatals" 0 (RDb.n_fatal db);
-  RDb.shutdown db;
-  check_float "money conserved under stealing" (float_of_int n *. 2. *. 10_000.)
-    (SB.total_money (List.map snd (RDb.catalogs db)));
-  audit_clean db
-
 (* Cost router: roots may be admitted on a non-home domain (the body runs
    there; the commit re-pins); correctness and conservation must hold. *)
 let test_cost_router () =
@@ -670,10 +620,6 @@ let suite =
         test_collect_serial_equivalence_tpcc;
       Alcotest.test_case "overload shed at mailbox cap" `Quick
         test_overload_shed;
-      Alcotest.test_case "work stealing: skewed ycsb" `Quick
-        test_steal_correctness;
-      Alcotest.test_case "work stealing: smallbank conservation" `Quick
-        test_steal_smallbank;
       Alcotest.test_case "cost router" `Quick test_cost_router;
       Alcotest.test_case "group-commit durability + replay" `Quick
         test_group_commit_durability;

@@ -5,9 +5,9 @@
    backend, the mutation guard inside read-only procedures, physical
    no-trace of snapshot readers, the QCheck committed-prefix property
    (serial oracle via [Faultsim.diff] plus a concurrent conservation
-   audit), version-chain GC bounded by the oldest live snapshot, the
-   [Config.Auto] morph router, the TPC-C payment/delivery Collect
-   formulation equivalences, and the real-parallel runtime backend. *)
+   audit), version-chain GC bounded by the oldest live snapshot, the TPC-C
+   payment/delivery Collect formulation equivalences, and the
+   real-parallel runtime backend. *)
 
 open Util
 module DB = Reactdb.Database
@@ -313,43 +313,6 @@ let test_version_gc () =
       check_bool "horizon advanced past the pin" true (DB.gc_horizon db > s))
 
 (* ------------------------------------------------------------------ *)
-(* Config.Auto: generators keep emitting the sequential formulation names;
-   the backend's router resolves each root against the declared morph
-   pairs and counts its choices. *)
-
-let test_auto_morph_router () =
-  let cfg = Reactdb.Config.with_morph (sb_config 5) Reactdb.Config.Auto in
-  check_bool "generators stay sequential under Auto" true
-    (SB.formulation_for cfg = SB.Fully_sync);
-  check_string "tpcc payment generator under Auto" "payment"
-    (W.Tpcc.payment_proc_for cfg);
-  check_string "tpcc delivery generator under Auto" "delivery"
-    (W.Tpcc.delivery_proc_for cfg);
-  run_in (SB.decl ~customers:5 ()) cfg (fun db ->
-      check_int "router idle before any root"
-        0
-        (let s, p = DB.auto_morphs db in
-         s + p);
-      ignore
-        (exec_ok db
-           (SB.multi_transfer_request SB.Fully_sync ~src:"c0"
-              ~dests:[ "c1"; "c2"; "c3" ] ~amount:10.));
-      check_int "one routed resolution" 1
-        (let s, p = DB.auto_morphs db in
-         s + p);
-      (* close the transfer's epoch so snapshot reads observe it *)
-      next_epoch ();
-      checkf "transfer applied through the routed formulation" 20_010.
-        (Value.to_number (exec_ok db (W.Wl.request "c1" "balance" [])));
-      checkf "source debited" 19_970.
-        (Value.to_number (exec_ok db (W.Wl.request "c0" "balance" [])));
-      (* undeclared procedures are never routed *)
-      ignore (exec_ok db (W.Wl.request "c0" "transact_saving" [ W.Wl.vf 5. ]));
-      check_int "no resolution for unmorphed procedures" 1
-        (let s, p = DB.auto_morphs db in
-         s + p))
-
-(* ------------------------------------------------------------------ *)
 (* TPC-C: the Collect formulations of payment and delivery are observably
    identical to the sequential ones — same results, byte-identical
    warehouse state — and order_status / stock_level run read-only. *)
@@ -471,7 +434,6 @@ let suite =
            (QCheck.make QCheck.Gen.(int_bound 9999) ~print:string_of_int)
            concurrent_conservation_prop);
       Alcotest.test_case "version GC horizon" `Quick test_version_gc;
-      Alcotest.test_case "auto morph router" `Quick test_auto_morph_router;
       Alcotest.test_case "tpcc collect equivalence" `Quick
         test_tpcc_collect_equivalence;
       Alcotest.test_case "runtime snapshot reads" `Quick
