@@ -10,6 +10,14 @@ set -e
 # full-run baseline that bench/predictability.exe gates against by default.
 OUT="${1:-BENCH_commit_path_smoke.json}"
 
+echo "== bench smoke: simulator oracle =="
+# Full-mode intra_txn and snapshot runs must reproduce the committed
+# virtual-clock artifacts exactly (BENCH_intra_txn.json byte for byte,
+# the sim rows of BENCH_snapshot.json); a change that alters simulated
+# behaviour fails here.
+sh bench/sim_oracle.sh
+
+echo
 echo "== bench smoke: experiments (--fast) =="
 dune exec bench/main.exe -- --fast
 

@@ -212,8 +212,9 @@ let run_cmd workload scale theta workers strategy executors mpl config_file
    in-memory WAL and a background shipper keeps N log-shipping replicas
    current (DESIGN.md §12); --failover-at-ms T additionally runs a
    promotion drill T ms into the run — final-ship the durable log,
-   promote the freshest replica through the recovery-equivalence oracle
-   and bump the shipping generation — while the primary keeps serving. *)
+   promote the freshest replica through the recovery-equivalence oracle,
+   bump the shipping generation and fence the old primary, which refuses
+   every later submission. *)
 let run_parallel_cmd workload scale theta workers domains duration_ms retries
     deadline_ms mailbox_cap chaos_spec router replicas failover_at_ms =
   let decl, reactors, gen = build_workload workload ~scale ~theta in
@@ -308,8 +309,10 @@ let run_parallel_cmd workload scale theta workers domains duration_ms retries
                    (match Replica.promote ~gen:g fr with
                    | Ok p ->
                      (* the whole deployment moves to the new generation,
-                        so shipping resumes under the promoted stamp *)
+                        so shipping resumes under the promoted stamp, and
+                        the old primary stops serving *)
                      prim_gen := g;
+                     Runtime.Db.fence db;
                      promotion := Some (Ok p)
                    | Error e -> promotion := Some (Error e));
                    drill_pause_us := (Unix.gettimeofday () -. d0) *. 1e6)
@@ -364,7 +367,9 @@ let run_parallel_cmd workload scale theta workers domains duration_ms retries
         "failover drill  promoted replica %d at epoch %d (generation %d, %d \
          log entries, pause %.1f ms)\n"
         p.Replica.pm_replica p.Replica.pm_epoch p.Replica.pm_gen
-        p.Replica.pm_entries (!drill_pause_us /. 1000.)
+        p.Replica.pm_entries (!drill_pause_us /. 1000.);
+      Printf.printf "fenced primary  %12d submissions refused\n"
+        (Runtime.Db.n_fenced_refusals db)
     | Some (Error e) -> Printf.printf "failover drill  REFUSED: %s\n" e
     | None -> ());
   if Runtime.Db.n_fatal db > 0 then begin
@@ -627,9 +632,9 @@ let failover_at_arg =
         ~doc:
           "Failover drill (requires --replicas): $(docv) ms into the run, \
            final-ship the durable log, promote the freshest replica \
-           through the recovery-equivalence oracle and bump the shipping \
-           generation. The primary keeps serving — this drills the \
-           promotion path and measures its pause without ending the run.")
+           through the recovery-equivalence oracle, bump the shipping \
+           generation and fence the old primary: every later submission \
+           is refused, and the refusal count prints after the run.")
 
 let run_parallel_term =
   Term.(

@@ -38,9 +38,7 @@ type executor = {
 type container = { mutable rr : int; cexecutors : executor array }
 
 type rstate = {
-  rname : string;
-  rtype : Reactor.rtype;
-  rcatalog : Storage.Catalog.t;
+  re : Bootstrap.entry;
   mutable home : int;
       (* current placement; flipped atomically (in virtual time) by
          [migrate] — every router/dispatch decision re-reads it *)
@@ -70,9 +68,8 @@ type t = {
   containers : container array;
   reactors : (string, rstate) Hashtbl.t;
   mutable txn_counter : int;
-  mutable committed : int;
-  mutable aborted : int;
-  abort_reasons : (string, int) Hashtbl.t;
+  ps : Protocol.state;
+      (* counters, collector, injector and the fence (DESIGN.md §12.4) *)
   mutable record_history : bool;
   mutable hist : hist_entry list;
   mutable stats_since : float;
@@ -90,8 +87,6 @@ type t = {
   mutable wal_error : string option;
       (* first WAL device failure seen by the group-commit flusher; the
          run continues with durability degraded rather than crashing *)
-  mutable obs : Obs.Collector.t option;
-  mutable chaos : Chaos.t;
   mutable mailbox_cap : int option;
       (* root admission bound per executor request queue; [None] =
          unbounded (sheds surface as [Obs.Abort.Overloaded] outcomes) *)
@@ -102,7 +97,6 @@ type t = {
   snap_live : (int, int) Hashtbl.t;
       (* live snapshot readers per snapshot epoch; the GC horizon is the
          minimum live epoch *)
-  mutable n_ro_commits : int;
   rorder : string list;
       (* reactor declaration order, for deterministic [placements] *)
   (* -- live reconfiguration (DESIGN.md §11) ----------------------------
@@ -123,16 +117,6 @@ type t = {
   mutable placement_epoch : int;
   mutable n_migrations : int;
   mutable mig_pause_last : float;
-  (* -- replication / failover (DESIGN.md §12) --------------------------
-     Generation-stamped admission, mirroring the migration drain's
-     [mig_gen] pattern at the whole-primary scale: a primary serves at
-     generation [prim_gen]; once [fenced] (a newer generation was
-     promoted, or the Kill_primary chaos probe fired), every admission is
-     refused with a typed error and an in-flight 2PC may no longer
-     install. *)
-  mutable prim_gen : int;
-  mutable fenced : bool;
-  mutable n_fenced : int; (* admissions refused while fenced *)
 }
 
 let engine t = t.eng
@@ -156,102 +140,24 @@ let release_core ex =
   else (Queue.take ex.core_waiters) ()
 
 (* ------------------------------------------------------------------ *)
-(* Root transaction state, shared by all its (sub-)transactions. *)
+(* Simulator-side root state: the cost breakdown, the call bookkeeping that
+   classifies a blocked window as sync or async execution, which executor
+   ran the root in each container (its 2PC participants) and the epoch of
+   its redo record. *)
 
-type subresult = (Util.Value.t, exn) result
-
-type sub = { sfid : int; siv : subresult Engine.Ivar.ivar }
-
-(* Typed abort classification, replacing substring matching on messages: a
-   user abort whose text happens to contain "duplicate key" must still be
-   counted as a user abort. [Ab_validation] is commit-time (OCC validation
-   or 2PC prepare failure); [Ab_conflict] is an execution-time concurrency
-   conflict (duplicate-key race) — both land in the "validation" bucket. *)
-type abort_class =
-  | Ab_user
-  | Ab_conflict
-  | Ab_validation
-  | Ab_dangerous
-  | Ab_timeout
-  | Ab_overload
-  | Ab_internal
-
-let classify_exn = function
-  | Occ.Txn.Abort m -> Some (Ab_user, m)
-  | Occ.Txn.Conflict m -> Some (Ab_conflict, m)
-  | Reactor.Dangerous_call m -> Some (Ab_dangerous, m)
-  | Obs.Abort.Timed_out m -> Some (Ab_timeout, m)
-  | _ -> None
-
-let bucket_of_class = function
-  | Ab_user -> "user"
-  | Ab_conflict | Ab_validation -> "validation"
-  | Ab_dangerous -> "dangerous-structure"
-  | Ab_timeout -> "timeout"
-  | Ab_overload -> "overloaded"
-  | Ab_internal -> "internal"
-
-let obs_kind_of_class = function
-  | Ab_user -> Obs.Abort.User
-  | Ab_conflict -> Obs.Abort.Conflict
-  | Ab_validation -> Obs.Abort.Internal (* refined by fail_reason when known *)
-  | Ab_dangerous -> Obs.Abort.Dangerous
-  | Ab_timeout -> Obs.Abort.Timeout
-  | Ab_overload -> Obs.Abort.Overloaded
-  | Ab_internal -> Obs.Abort.Internal
-
-let obs_kind_of_fail = function
-  | Occ.Commit.Lock_busy -> Obs.Abort.Lock_busy
-  | Occ.Commit.Stale_read -> Obs.Abort.Stale_read
-  | Occ.Commit.Node_changed -> Obs.Abort.Node_changed
-  | Occ.Commit.Key_exists -> Obs.Abort.Key_exists
-
-type root = {
-  txn : Occ.Txn.t;
-  rgen : int;
-      (* migration generation this root was admitted in; a sub-call it
-         issues to a reactor marked with an older cutoff parks at the stub *)
-  rsnapshot : int option;
-      (* frozen snapshot epoch when this root runs read-only; propagates to
-         every sub-call's query context, so cross-container fan-outs read
-         the same consistent cut *)
+type rext = {
   bd : breakdown;
-  tr : Obs.Trace.t; (* lifecycle trace; Obs.Trace.none when no collector *)
-  deadline : float;
-      (* absolute virtual-time deadline; [infinity] when the root has no
-         deadline, keeping every check one float compare *)
-  active_set : (string, unit) Hashtbl.t;
   mutable exec_of_container : (int * executor) list;
   mutable last_call : int;
   mutable call_ctr : int;
   mutable worked_since_call : bool;
-  mutable doomed : (abort_class * string) option;
-      (* set when any sub-transaction aborted: the root may not commit even
-         if application code swallowed the exception (§2.2.3) *)
   mutable logged_epoch : int option;
       (* epoch of this root's redo record, once appended to the WAL *)
 }
 
-let deadline_expired root =
-  root.deadline < Float.infinity && Engine.current_time () > root.deadline
-
-(* Deadline checks sit at phase boundaries only — admission, body start,
-   sub-call start, resume after an await, implicit sync, commit entry, 2PC
-   prepare — so an expired deadline always unwinds through the same typed
-   abort path as any other abort. *)
-let check_deadline root ~where =
-  if deadline_expired root then
-    raise (Obs.Abort.Timed_out ("deadline expired " ^ where))
-
-(* Invocation frame: one (sub-)transaction execution on one reactor. *)
-type frame = {
-  froot : root;
-  frstate : rstate;
-  fex : executor;
-  on_root_path : bool;
-  mutable children : sub list;
-  fpenalty : float; (* cache-miss penalty fraction for this invocation *)
-}
+(* One invocation's cost state: its root, whether it is on the root's
+   critical path, and its cache-miss penalty fraction. *)
+type fext = { fx_root : rext; fx_path : bool; fx_penalty : float }
 
 let reactor_state db name =
   match Hashtbl.find_opt db.reactors name with
@@ -268,7 +174,7 @@ let route db rst =
   | Config.Affinity | Config.Cost ->
     (* Cost routing reacts to live queue depths, which virtual-time
        executors don't expose; the simulator degrades it to affinity. *)
-    cont.cexecutors.(db.cfg.affinity_slot rst.rname mod n)
+    cont.cexecutors.(db.cfg.affinity_slot rst.re.Bootstrap.bs_name mod n)
 
 (* ------------------------------------------------------------------ *)
 (* Live-reconfiguration gates (DESIGN.md §11). [mig_register] pins a root
@@ -340,11 +246,11 @@ let net db c1 c2 =
 
 (* Charge [d] µs of processing on the current coroutine's core; attribute to
    the root's sync-execution bucket when on the root's critical path. *)
-let work frame d =
+let work fx d =
   if d > 0. then Engine.delay d;
-  if frame.on_root_path then begin
-    frame.froot.bd.bd_sync_exec <- frame.froot.bd.bd_sync_exec +. d;
-    frame.froot.worked_since_call <- true
+  if fx.fx_path then begin
+    fx.fx_root.bd.bd_sync_exec <- fx.fx_root.bd.bd_sync_exec +. d;
+    fx.fx_root.worked_since_call <- true
   end
 
 (* Graded cache model: how cold is executor [xid] for this reactor's data?
@@ -371,7 +277,7 @@ let touch_cache rstate xid =
   in
   rstate.cache_recency <- xid :: take (recency_depth - 1) rest
 
-let charge_data db frame kind n =
+let charge_data db fx kind n =
   let p = db.prof in
   let base =
     match kind with
@@ -379,283 +285,53 @@ let charge_data db frame kind n =
     | `Write -> p.Profile.cost_write
     | `Scan_step -> p.Profile.cost_scan_step
   in
-  let per = base +. (frame.fpenalty *. p.Profile.cost_cache_miss) in
-  work frame (per *. float_of_int n)
+  let per = base +. (fx.fx_penalty *. p.Profile.cost_cache_miss) in
+  work fx (per *. float_of_int n)
 
-(* Await a child sub-transaction. Returns its result without raising. If the
-   future is already resolved this is free; otherwise the caller yields its
-   core, pays Cr on wake, and the blocked window is attributed to
-   sync-execution (immediate get, no intervening work: the "synchronous
-   call" pattern) or to async-execution (deferred get: overlap window). *)
-let await_sub db frame sub =
-  match Engine.Ivar.peek sub.siv with
-  | Some r -> r
-  | None ->
-    let root = frame.froot in
-    let sync_class =
-      frame.on_root_path && root.last_call = sub.sfid
-      && not root.worked_since_call
-    in
-    let t0 = Engine.current_time () in
-    release_core frame.fex;
-    let r = Engine.Ivar.read sub.siv in
-    acquire_core frame.fex;
-    let blocked = Engine.current_time () -. t0 in
-    Engine.delay db.prof.Profile.cost_recv;
-    if frame.on_root_path then begin
-      root.bd.bd_cr <- root.bd.bd_cr +. db.prof.Profile.cost_recv;
-      if sync_class then root.bd.bd_sync_exec <- root.bd.bd_sync_exec +. blocked
-      else root.bd.bd_async_exec <- root.bd.bd_async_exec +. blocked;
-      (* lifecycle trace: the root's blocked window on a cross-reactor
-         future, regardless of sync/async classification *)
-      Obs.Trace.add root.tr Obs.Phase.Suspend_wait blocked;
-      root.worked_since_call <- true
-    end;
-    r
-
-let set_exec_of root cid ex =
-  if not (List.mem_assoc cid root.exec_of_container) then
-    root.exec_of_container <- (cid, ex) :: root.exec_of_container
-
-let rec run_procedure db ~root ~rstate ~ex ~on_root_path ~proc_name ~args =
-  let procfn = Reactor.find_proc rstate.rtype proc_name in
-  let frame =
-    { froot = root; frstate = rstate; fex = ex; on_root_path; children = [];
-      fpenalty = cache_penalty rstate ex.xid }
-  in
-  set_exec_of root rstate.home ex;
-  work frame db.prof.Profile.cost_proc_base;
-  let ctx =
-    {
-      Reactor.db =
-        Query.Exec.make_ctx ?snapshot:root.rsnapshot ~txn:root.txn
-          ~container:rstate.home ~catalog:rstate.rcatalog
-          ~charge:(fun kind n -> charge_data db frame kind n)
-          ~work:(fun us -> work frame us) ();
-      self = rstate.rname;
-      call = (fun ~reactor ~proc ~args -> do_call db frame ~reactor ~proc ~args);
-      collect =
-        (fun futures ->
-          (* Fork–join barrier: consume every future (out-of-order
-             completion is fine — resolved ivars are peeked for free),
-             capturing per-future errors so a failure in one sub-call
-             never unwinds while siblings are still outstanding. Only
-             after all futures have completed do we re-raise the first
-             non-deadline error in list order. A deadline expiry seen by
-             any per-future resume check is the root's one budget, so it
-             is reported as the collect-boundary check firing. *)
-          let results =
-            List.map
-              (fun f -> try Ok (f.Reactor.get ()) with e -> Error e)
-              futures
-          in
-          (match
-             List.find_opt
-               (function
-                 | Error (Obs.Abort.Timed_out _) | Ok _ -> false
-                 | Error _ -> true)
-               results
-           with
-          | Some (Error e) -> raise e
-          | _ -> ());
-          if
-            List.exists
-              (function Error _ -> true | Ok _ -> false)
-              results
-          then raise (Obs.Abort.Timed_out "deadline expired at collect boundary");
-          check_deadline root ~where:"at collect boundary";
-          List.map
-            (function Ok v -> v | Error _ -> assert false)
-            results);
-    }
-  in
-  let result = try Ok (procfn ctx args) with e -> Error e in
-  touch_cache rstate ex.xid;
-  (* Implicit synchronization: a (sub-)transaction completes only when all
-     its children complete — even on the abort path, since in-flight children
-     mutate the shared transaction context. *)
-  let first_err = ref (match result with Error e -> Some e | Ok _ -> None) in
-  List.iter
-    (fun sub ->
-      match await_sub db frame sub with
-      | Ok _ -> ()
-      | Error e -> if !first_err = None then first_err := Some e)
-    (List.rev frame.children);
-  (* Implicit sync done: every child has completed, so raising here cannot
-     leave a sub-transaction mutating the shared context. *)
-  if !first_err = None && frame.children <> [] && deadline_expired root then
-    first_err := Some (Obs.Abort.Timed_out "deadline expired after implicit sync");
-  match !first_err with
-  | Some e -> raise e
-  | None -> (match result with Ok v -> v | Error _ -> assert false)
-
-and do_call db frame ~reactor ~proc ~args =
-  let root = frame.froot in
-  if reactor = frame.frstate.rname then begin
-    (* Self-call: inlined synchronously in the same execution context
-       (§2.2.4); the result is immediately available. *)
-    let v =
-      run_procedure db ~root ~rstate:frame.frstate ~ex:frame.fex
-        ~on_root_path:frame.on_root_path ~proc_name:proc ~args
-    in
-    { Reactor.get = (fun () -> v) }
-  end
-  else begin
-    let tstate = reactor_state db reactor in
-    (* Dynamic safety condition (§2.2.4): at most one execution context may
-       be active per reactor and root transaction. *)
-    if Hashtbl.mem root.active_set reactor then
-      raise
-        (Reactor.Dangerous_call
-           (Printf.sprintf "dangerous call structure: reactor %s already active"
-              reactor));
-    (* Migration stub: a sub-call from a post-mark root to a migrating
-       reactor parks until the flip, then dispatches against the new
-       placement. The caller's core is released across the park — a parked
-       post-mark root must never hold a core a draining pre-mark root may
-       need. Pre-mark roots pass through: the drain waits for them. *)
-    (match Hashtbl.find_opt db.migrating reactor with
-    | Some m when root.rgen > m.mg_cutoff ->
-      release_core frame.fex;
-      mig_stub_park m;
-      acquire_core frame.fex
-    | _ -> ());
-    if tstate.home = frame.frstate.home then begin
-      (* Same container: execute synchronously in the caller's executor to
-         avoid migration-of-control overhead (§3.2.1). *)
-      Hashtbl.add root.active_set reactor ();
-      let finally () = Hashtbl.remove root.active_set reactor in
-      let v =
-        try
-          run_procedure db ~root ~rstate:tstate ~ex:frame.fex
-            ~on_root_path:frame.on_root_path ~proc_name:proc ~args
-        with e ->
-          finally ();
-          raise e
-      in
-      finally ();
-      { Reactor.get = (fun () -> v) }
-    end
-    else begin
-      (* Cross-container: asynchronous dispatch through the transport to an
-         executor of the destination container. *)
-      Hashtbl.add root.active_set reactor ();
-      root.call_ctr <- root.call_ctr + 1;
-      let fid = root.call_ctr in
-      let send_cost =
-        db.prof.Profile.cost_send +. net db frame.frstate.home tstate.home
-      in
-      Engine.delay send_cost;
-      if frame.on_root_path then begin
-        root.bd.bd_cs <- root.bd.bd_cs +. send_cost;
-        root.last_call <- fid;
-        root.worked_since_call <- false
-      end;
-      let rex = route db tstate in
-      set_exec_of root tstate.home rex;
-      let iv = Engine.Ivar.create () in
-      let caller_home = frame.frstate.home in
-      let body () =
-        acquire_core rex;
-        (* the result message back to the caller also crosses the network *)
-        Engine.delay
-          (db.prof.Profile.cost_sub_dispatch +. net db caller_home tstate.home);
-        let res =
-          try
-            check_deadline root ~where:"at sub-transaction start";
-            Ok
-              (run_procedure db ~root ~rstate:tstate ~ex:rex
-                 ~on_root_path:false ~proc_name:proc ~args)
-          with e -> Error e
-        in
-        (match res with
-        | Error e -> (
-          match classify_exn e with
-          | Some km -> if root.doomed = None then root.doomed <- Some km
-          | None -> ())
-        | Ok _ -> ());
-        release_core rex;
-        Hashtbl.remove root.active_set reactor;
-        Engine.Ivar.fill iv res
-      in
-      (* Sub-transactions bypass root admission control (they belong to an
-         already-admitted root) but contend for the destination core. *)
-      Engine.spawn_here body;
-      let sub = { sfid = fid; siv = iv } in
-      frame.children <- sub :: frame.children;
-      {
-        Reactor.get =
-          (fun () ->
-            match await_sub db frame sub with
-            | Ok v ->
-              (* Resumed after a (possibly long) blocked window: re-check
-                 the budget before the body continues. Raises inside the
-                 procedure body, so the implicit sync still awaits every
-                 sibling before the frame unwinds. *)
-              check_deadline root ~where:"on resume after sub-transaction";
-              v
-            | Error e -> raise e);
-      }
-    end
-  end
+let set_exec_of rx cid ex =
+  if not (List.mem_assoc cid rx.exec_of_container) then
+    rx.exec_of_container <- (cid, ex) :: rx.exec_of_container
 
 (* ------------------------------------------------------------------ *)
-(* Commit protocols. *)
+(* Commit costs, the write-ahead redo record and history. *)
 
 let validation_cost db txn c =
   db.prof.Profile.cost_commit_base
   +. db.prof.Profile.cost_commit_per_op
      *. float_of_int (Occ.Txn.ops_in txn ~container:c)
 
-let wal_log db root tid =
+(* Append the redo record write-ahead of install; a [Wal.Io_error] becomes
+   a commit error (locks still held, so the release path runs). *)
+let wal_log db rx txn ~tid =
   match db.wal with
-  | None -> ()
-  | Some log ->
-    let writes =
-      List.map
-        (fun e ->
-          let reactor, table =
-            match Hashtbl.find_opt db.table_owner e.Occ.Txn.wtable.Storage.Table.uid with
-            | Some rt -> rt
-            | None -> ("?", e.Occ.Txn.wtable.Storage.Table.schema.Storage.Schema.sname)
-          in
-          match e.Occ.Txn.kind with
-          | Occ.Txn.Update row -> Wal.Put { reactor; table; row }
-          | Occ.Txn.Insert ->
-            Wal.Put { reactor; table; row = e.Occ.Txn.wrec.Storage.Record.data }
-          | Occ.Txn.Delete -> Wal.Del { reactor; table; key = e.Occ.Txn.wkey })
-        (Occ.Txn.all_writes root.txn)
-    in
-    if writes <> [] then begin
-      Wal.append log
-        { Wal.le_txn = Occ.Txn.id root.txn; le_tid = tid; le_writes = writes };
-      root.logged_epoch <- Some (Storage.Record.tid_epoch tid)
-    end
+  | None -> Ok ()
+  | Some log -> (
+    match Protocol.redo_writes db.table_owner txn with
+    | [] -> Ok ()
+    | writes -> (
+      try
+        Wal.append log
+          { Wal.le_txn = Occ.Txn.id txn; le_tid = tid; le_writes = writes };
+        rx.logged_epoch <- Some (Storage.Record.tid_epoch tid);
+        Ok ()
+      with Wal.Io_error m -> Error m))
 
-(* [Wal.Io_error] from a failed append, turned into a commit error by the
-   callers (locks still held at that point, so the release path runs). *)
-let wal_log_checked db root tid =
-  try
-    wal_log db root tid;
-    Ok ()
-  with Wal.Io_error m -> Error m
-
-let note_history db root tid =
-  if db.record_history then begin
+let note_history db txn tid =
+  if db.record_history && Occ.Txn.containers txn <> [] then begin
     let reads =
       List.concat_map
         (fun c ->
           List.map
             (fun (r, observed) -> (r.Storage.Record.rid, observed))
-            (Occ.Txn.reads_in root.txn ~container:c))
-        (Occ.Txn.containers root.txn)
+            (Occ.Txn.reads_in txn ~container:c))
+        (Occ.Txn.containers txn)
     in
     let writes = ref [] in
-    Occ.Txn.iter_all_writes root.txn ~f:(fun e ->
+    Occ.Txn.iter_all_writes txn ~f:(fun e ->
         writes := e.Occ.Txn.wrec.Storage.Record.rid :: !writes);
     let writes = List.rev !writes in
     db.hist <-
-      { h_txn = Occ.Txn.id root.txn; h_tid = tid; h_reads = reads;
+      { h_txn = Occ.Txn.id txn; h_tid = tid; h_reads = reads;
         h_writes = writes }
       :: db.hist
   end
@@ -681,7 +357,7 @@ let rec schedule_flush db =
         (* Chaos: the group-commit flush stalls (device hiccup), delaying
            every transaction waiting on epoch durability. [flush_pending]
            stays true across the stall, so no second flusher starts. *)
-        (match Chaos.draw_us db.chaos Chaos.Stall_flush with
+        (match Chaos.draw_us db.ps.Protocol.chaos Chaos.Stall_flush with
         | Some d -> Engine.delay d
         | None -> ());
         db.flush_pending <- false;
@@ -709,8 +385,8 @@ let rec schedule_flush db =
 (* Client-side durable wait: called after the transaction's executor slot is
    released, so group commit adds commit latency but never holds admission
    capacity. Transactions that logged nothing return immediately. *)
-let wait_durable db root =
-  match root.logged_epoch with
+let wait_durable db rx =
+  match rx.logged_epoch with
   | None -> ()
   | Some e ->
     if db.durable && e > db.flushed_epoch then begin
@@ -719,202 +395,139 @@ let wait_durable db root =
           db.epoch_waiters <- (e, waker) :: db.epoch_waiters)
     end
 
-(* Typed commit failures: [C_fail] carries the validation verdict,
-   [C_timeout] is a participant refusing to prepare past the root's
-   deadline, [C_wal] a log-device failure while appending the redo
-   record. *)
-type commit_err =
-  | C_fail of Occ.Commit.fail_reason
-  | C_timeout
-  | C_wal of string
-  | C_killed
-      (* the Kill_primary chaos probe fenced the engine mid-2PC: votes
-         resolved but nothing was installed or logged durable — the
-         transaction rolls back exactly like an abort vote *)
+(* ------------------------------------------------------------------ *)
+(* The protocol over virtual-time cores (DESIGN.md §5.3). Costs are
+   [Profile] delays; a blocked coroutine releases its core and pays Cr on
+   wake; the breakdown classifies each blocked window as sync execution
+   (an immediate get with no intervening work) or async execution (an
+   overlap window). *)
 
-(* Two-phase commit (§3.2.2): phase one runs Silo validation with locks on
-   every participant; phase two installs or releases. Remote phases execute
-   as control steps on an executor of the participant container (the one
-   that ran the transaction's sub-transactions there), each step atomic in
-   virtual time. The coordinator yields its core while waiting. *)
-let two_phase db root ex containers ~epoch =
-  let p = db.prof in
-  let executor_for c =
-    match List.assoc_opt c root.exec_of_container with
+module P = Protocol.Make (struct
+  type nonrec t = t
+  type exec = executor
+  type place = rstate
+  type nonrec rext = rext
+  type nonrec fext = fext
+  type pending = int (* the commit epoch *)
+  type 'a ivar = 'a Engine.Ivar.ivar
+
+  let state db = db.ps
+  let now = Engine.current_time
+  let timed _ = true
+  let container ex = ex.cid
+  let place = reactor_state
+  let entry rst = rst.re
+
+  (* Migration stub: a post-mark root parks until the flip. The caller's
+     core is released across the park — a parked post-mark root must never
+     hold a core a draining pre-mark root may need. Pre-mark roots pass
+     through: the drain waits for them. *)
+  let gate db _ ex ~rgen rst =
+    (match Hashtbl.find_opt db.migrating rst.re.Bootstrap.bs_name with
+    | Some m when rgen > m.mg_cutoff ->
+      release_core ex;
+      mig_stub_park m;
+      acquire_core ex
+    | _ -> ());
+    rst.home
+
+  let sub_exec db rx rst =
+    let rex = route db rst in
+    set_exec_of rx rst.home rex;
+    rex
+
+  (* The executor that ran the root's sub-transactions in [c], so commit
+     steps find its data warm. *)
+  let participant db rx c =
+    match List.assoc_opt c rx.exec_of_container with
     | Some e -> e
     | None -> db.containers.(c).cexecutors.(0)
-  in
-  let remote_step c f =
-    Engine.delay (p.Profile.cost_2pc_msg +. net db ex.cid c);
+
+  let spawn ex f =
     let iv = Engine.Ivar.create () in
-    let rex = executor_for c in
     Engine.spawn_here (fun () ->
-        acquire_core rex;
-        Engine.delay p.Profile.cost_sub_dispatch;
+        acquire_core ex;
         let r = f () in
-        release_core rex;
+        release_core ex;
         Engine.Ivar.fill iv r);
     iv
-  in
-  let wait iv =
-    match Engine.Ivar.peek iv with
-    | Some r -> r
-    | None ->
-      release_core ex;
-      let r = Engine.Ivar.read iv in
-      acquire_core ex;
-      r
-  in
-  (* One participant's prepare: refuse outright when the root's deadline
-     has already passed (no validation work, no locks taken — the
-     coordinator rolls the prepared participants back like any abort
-     vote), otherwise validate. *)
-  let prepare_vote c () =
-    if deadline_expired root then Error C_timeout
-    else begin
-      Engine.delay (validation_cost db root.txn c);
-      Result.map_error (fun fr -> C_fail fr)
-        (Occ.Commit.prepare root.txn ~container:c)
+
+  let peek = Engine.Ivar.peek
+
+  let await ex iv =
+    release_core ex;
+    let r = Engine.Ivar.read iv in
+    acquire_core ex;
+    r
+
+  let enter _ = ()
+  let leave _ = ()
+
+  let charge db cost =
+    let p = db.prof in
+    Engine.delay
+      (match cost with
+      | Protocol.Arrive (src, dst) ->
+        (* the result message back to the caller also crosses the network *)
+        p.Profile.cost_sub_dispatch +. net db src dst
+      | Protocol.Commit_msg (src, dst) -> p.Profile.cost_2pc_msg +. net db src dst
+      | Protocol.Commit_step -> p.Profile.cost_sub_dispatch
+      | Protocol.Validate (txn, c) -> validation_cost db txn c
+      | Protocol.Install -> p.Profile.cost_commit_base)
+
+  let frame_enter db rx rst ~home ex ~on_root_path =
+    let fx =
+      { fx_root = rx; fx_path = on_root_path;
+        fx_penalty = cache_penalty rst ex.xid }
+    in
+    set_exec_of rx home ex;
+    work fx db.prof.Profile.cost_proc_base;
+    fx
+
+  let frame_exit rst ex = touch_cache rst ex.xid
+  let charges db fx = ((fun kind n -> charge_data db fx kind n), fun us -> work fx us)
+
+  let send db fx ~src rst =
+    let rx = fx.fx_root in
+    rx.call_ctr <- rx.call_ctr + 1;
+    let send_cost = db.prof.Profile.cost_send +. net db src rst.home in
+    Engine.delay send_cost;
+    if fx.fx_path then begin
+      rx.bd.bd_cs <- rx.bd.bd_cs +. send_cost;
+      rx.last_call <- rx.call_ctr;
+      rx.worked_since_call <- false
+    end;
+    rx.call_ctr
+
+  let resumed db fx ~sfid ~blocked =
+    let cr = db.prof.Profile.cost_recv in
+    Engine.delay cr;
+    if fx.fx_path then begin
+      let rx = fx.fx_root in
+      let bd = rx.bd in
+      bd.bd_cr <- bd.bd_cr +. cr;
+      if rx.last_call = sfid && not rx.worked_since_call then
+        bd.bd_sync_exec <- bd.bd_sync_exec +. blocked
+      else bd.bd_async_exec <- bd.bd_async_exec +. blocked;
+      rx.worked_since_call <- true
     end
-  in
-  (* Phase 1. Validation span on the root's timeline: from entering phase
-     one until every participant's vote has resolved. *)
-  let t_val = Engine.current_time () in
-  let prepares =
-    List.map
-      (fun c ->
-        if c = ex.cid then (c, `Done (prepare_vote c ()))
-        else (c, `Pending (remote_step c (prepare_vote c))))
-      containers
-  in
-  let resolved =
-    List.map
-      (fun (c, r) ->
-        match r with `Done v -> (c, v) | `Pending iv -> (c, wait iv))
-      prepares
-  in
-  Obs.Trace.add root.tr Obs.Phase.Validation (Engine.current_time () -. t_val);
-  let t_dec = Engine.current_time () in
-  (* Phase 2 (abort): roll back every prepared participant. *)
-  let rollback prepared =
-    let acks =
-      List.filter_map
-        (fun c ->
-          if c = ex.cid then begin
-            Occ.Commit.release root.txn ~container:c;
-            None
-          end
-          else
-            Some (remote_step c (fun () -> Occ.Commit.release root.txn ~container:c)))
-        prepared
-    in
-    List.iter wait acks;
-    Obs.Trace.add root.tr Obs.Phase.Commit (Engine.current_time () -. t_dec)
-  in
-  (* Chaos: the primary dies mid-2PC — phase-one votes have resolved,
-     nothing is installed, no redo record was appended. The engine fences
-     itself (generation-stamped admission refuses everything from here
-     on) and this transaction rolls back through the normal release path,
-     so no replica or recovery replay can ever observe it. *)
-  (match Chaos.draw_us db.chaos Chaos.Kill_primary with
-  | Some _ -> db.fenced <- true
-  | None -> ());
-  if db.fenced then begin
-    rollback
-      (List.filter_map
-         (fun (c, v) -> if Result.is_ok v then Some c else None)
-         resolved);
-    Error C_killed
-  end
-  else if List.for_all (fun (_, v) -> Result.is_ok v) resolved then begin
-    let tid = Occ.Commit.compute_tid root.txn ~epoch in
-    (* Write-ahead: append the redo record while every participant still
-       holds its locks, so a failed log device rolls the transaction back
-       instead of leaving installed writes with no durable record. *)
-    match wal_log_checked db root tid with
-    | Error m ->
-      rollback containers;
-      Error (C_wal m)
-    | Ok () ->
-      (* Phase 2: install. *)
-      let acks =
-        List.map
-          (fun c ->
-            if c = ex.cid then begin
-              Engine.delay p.Profile.cost_commit_base;
-              Occ.Commit.install ?horizon:(install_horizon db) root.txn
-                ~container:c ~tid;
-              None
-            end
-            else
-              Some
-                (remote_step c (fun () ->
-                     Engine.delay p.Profile.cost_commit_base;
-                     Occ.Commit.install ?horizon:(install_horizon db) root.txn
-                       ~container:c ~tid)))
-          containers
-      in
-      List.iter (function Some iv -> wait iv | None -> ()) acks;
-      note_history db root tid;
-      Obs.Trace.add root.tr Obs.Phase.Commit (Engine.current_time () -. t_dec);
-      Ok ()
-  end
-  else begin
-    rollback
-      (List.filter_map
-         (fun (c, v) -> if Result.is_ok v then Some c else None)
-         resolved);
-    let reason =
-      match
-        List.find_map
-          (fun (_, v) -> match v with Error r -> Some r | Ok () -> None)
-          resolved
-      with
-      | Some r -> r
-      | None -> assert false
-    in
-    Error reason
-  end
 
-let do_commit db root ex =
-  let epoch = current_epoch db in
-  match Occ.Txn.containers root.txn with
-  | [] ->
-    let t0 = Engine.current_time () in
-    Engine.delay db.prof.Profile.cost_commit_base;
-    Obs.Trace.add root.tr Obs.Phase.Commit (Engine.current_time () -. t0);
-    Ok ()
-  | [ c ] when c = ex.cid ->
-    (* commit_single, unrolled so validation and install land in their own
-       trace phases; the virtual-time charges are unchanged. *)
-    let t0 = Engine.current_time () in
-    Engine.delay (validation_cost db root.txn c);
-    (match Occ.Commit.prepare root.txn ~container:c with
-    | Error r ->
-      Obs.Trace.add root.tr Obs.Phase.Validation (Engine.current_time () -. t0);
-      Error (C_fail r)
-    | Ok () ->
-      Obs.Trace.add root.tr Obs.Phase.Validation (Engine.current_time () -. t0);
-      let t1 = Engine.current_time () in
-      let tid = Occ.Commit.compute_tid root.txn ~epoch in
-      (* write-ahead: append before install (see two_phase) *)
-      (match wal_log_checked db root tid with
-      | Error m ->
-        Occ.Commit.release root.txn ~container:c;
-        Obs.Trace.add root.tr Obs.Phase.Commit (Engine.current_time () -. t1);
-        Error (C_wal m)
-      | Ok () ->
-        Occ.Commit.install ?horizon:(install_horizon db) root.txn ~container:c
-          ~tid;
-        note_history db root tid;
-        Obs.Trace.add root.tr Obs.Phase.Commit (Engine.current_time () -. t1);
-        Ok ()))
-  | containers -> two_phase db root ex containers ~epoch
+  let stall db kind =
+    match Chaos.draw_us db.ps.Protocol.chaos kind with
+    | Some d -> Engine.delay d
+    | None -> ()
 
-(* ------------------------------------------------------------------ *)
+  (* Programming errors (not aborts) escape to the engine. *)
+  let fatal _ e = raise e
+  let horizon = install_horizon
+  let commit_begin db _ = current_epoch db
+  let commit_epoch e = e
+  let log_ahead = wal_log
 
-let bump tbl key =
-  Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+  let commit_end db txn _ ~tid =
+    Option.iter (note_history db txn) tid;
+    None
+end)
 
 let exec_txn ?(retry = 0) ?deadline_us db ~reactor ~proc ~args =
   let p = db.prof in
@@ -927,10 +540,6 @@ let exec_txn ?(retry = 0) ?deadline_us db ~reactor ~proc ~args =
   Engine.delay p.Profile.cost_input_gen;
   db.txn_counter <- db.txn_counter + 1;
   let txn = Occ.Txn.create ~id:db.txn_counter in
-  let bd = zero_breakdown () in
-  let tr =
-    match db.obs with Some c -> Obs.Collector.trace c | None -> Obs.Trace.none
-  in
   let rst = reactor_state db reactor in
   (* Live reconfiguration: register in the current migration generation,
      and park at the forwarding stub when the target is mid-migration —
@@ -947,106 +556,42 @@ let exec_txn ?(retry = 0) ?deadline_us db ~reactor ~proc ~args =
      reads version chains at that epoch and the commit protocol is skipped
      entirely (no read set, no locks, no validation, no 2PC). *)
   let rsnapshot =
-    if db.snapshots_enabled && Reactor.proc_readonly rst.rtype proc then
-      Some (acquire_snapshot db)
+    if db.snapshots_enabled && Reactor.proc_readonly rst.re.Bootstrap.bs_rtype proc
+    then Some (acquire_snapshot db)
     else None
   in
-  let root =
-    { txn; rgen; rsnapshot; bd; tr; deadline; active_set = Hashtbl.create 8;
-      exec_of_container = []; last_call = 0; call_ctr = 0;
-      worked_since_call = false; doomed = None; logged_epoch = None }
+  let bd = zero_breakdown () in
+  let rx =
+    { bd; exec_of_container = []; last_call = 0; call_ctr = 0;
+      worked_since_call = false; logged_epoch = None }
   in
+  let root = P.make_root db ~txn ~rgen ~rsnapshot ~deadline rx in
   let ex = route db rst in
   Engine.delay p.Profile.cost_client_dispatch;
   let done_iv = Engine.Ivar.create () in
-  (* Queue wait runs from the push into the executor's request queue to the
-     moment the body holds the core: mailbox residence, MPL admission, and
-     the core handoff itself. *)
   let t_enq = ref 0. in
   let body () =
     acquire_core ex;
-    let t_body = Engine.current_time () in
-    Obs.Trace.add tr Obs.Phase.Queue_wait (t_body -. !t_enq);
-    Hashtbl.add root.active_set reactor ();
-    let res =
-      try
-        (* Dequeue boundary: a root whose whole budget went to queueing
-           (or MPL admission) aborts before touching any record. *)
-        check_deadline root ~where:"before execution";
-        let v =
-          run_procedure db ~root ~rstate:rst ~ex ~on_root_path:true
-            ~proc_name:proc ~args
-        in
-        match root.doomed with
-        | Some km -> Error (`Aborted km)
-        | None -> Ok v
-      with e -> Error (`Fatal e)
-    in
-    Hashtbl.remove root.active_set reactor;
-    (* Exec = body span minus the root's blocked windows (accumulated into
-       Suspend_wait by await_sub while the body ran). *)
-    Obs.Trace.add tr Obs.Phase.Exec
-      (Engine.current_time () -. t_body
-      -. Obs.Trace.get tr Obs.Phase.Suspend_wait);
     let out =
-      match res with
-      | Ok _ when deadline_expired root ->
-        (* Commit entry: nothing is prepared yet, so expiring here just
-           drops the read/write sets — no locks to release. *)
-        Error (Ab_timeout, "deadline expired before commit", Obs.Abort.Timeout)
-      | Ok v when root.rsnapshot <> None ->
-        (* Read-only snapshot root: nothing to validate, install or log —
-           the result is final the moment the body returns. *)
-        Ok v
-      | Ok v -> (
-        (* A log-device failure during commit surfaces as a typed internal
-           abort, not a raw exception unwinding through the engine. *)
-        match
-          try do_commit db root ex with Wal.Io_error m -> Error (C_wal m)
-        with
-        | Ok () -> Ok v
-        | Error (C_fail fr) ->
-          Error (Ab_validation, Occ.Commit.fail_message fr, obs_kind_of_fail fr)
-        | Error C_timeout ->
-          Error
-            (Ab_timeout, "deadline expired during 2pc prepare", Obs.Abort.Timeout)
-        | Error (C_wal m) ->
-          Error (Ab_internal, "wal write failed: " ^ m, Obs.Abort.Internal)
-        | Error C_killed ->
-          Error (Ab_internal, "primary killed mid-2pc", Obs.Abort.Internal))
-      | Error (`Aborted (k, m)) -> Error (k, m, obs_kind_of_class k)
-      | Error (`Fatal e) -> (
-        match classify_exn e with
-        | Some (k, m) -> Error (k, m, obs_kind_of_class k)
-        | None ->
-          (* Programming errors (not aborts) escape to the engine. *)
-          release_core ex;
-          raise e)
+      P.execute db root ~place:rst ~home:rst.home ~ex ~reactor ~proc ~args
+        ~t_enq:!t_enq
     in
     release_core ex;
     Engine.Ivar.fill done_iv out
   in
-  (* Admission control: with a mailbox cap set, a root arriving at a full
-     request queue is shed here — it never occupies a queue slot, an MPL
-     slot or a core. Sub-transactions and commit traffic of admitted roots
-     are never shed. *)
+  (* Admission control: a fenced primary refuses every root outright, and
+     with a mailbox cap set, a root arriving at a full request queue is
+     shed — it never occupies a queue slot, an MPL slot or a core.
+     Sub-transactions and commit traffic of admitted roots are never
+     shed. *)
   let shed =
     match db.mailbox_cap with
     | Some cap -> Engine.Mailbox.length ex.queue >= cap
     | None -> false
   in
   let out =
-    if db.fenced then begin
-      (* Generation fencing: a fenced primary refuses every admission
-         outright — the root never enqueues, never touches a record. The
-         refusal is a typed outcome so drivers can count it exactly. *)
-      db.n_fenced <- db.n_fenced + 1;
-      Error
-        (Ab_internal, "fenced: stale primary generation", Obs.Abort.Internal)
-    end
-    else if shed then
-      Error
-        (Ab_overload, "overloaded: admission queue full", Obs.Abort.Overloaded)
+    if Protocol.refuse_fenced db.ps then Protocol.fenced_refusal
+    else if shed then Protocol.overloaded
     else begin
       t_enq := Engine.current_time ();
       Engine.Mailbox.push ex.queue body;
@@ -1058,60 +603,33 @@ let exec_txn ?(retry = 0) ?deadline_us db ~reactor ~proc ~args =
      an in-progress migration drain resumes once the pre-mark slot empties.
      The shed path retires too: it registered above. *)
   mig_retire db rgen;
+  (* The snapshot's GC pin is dropped as soon as the outcome is known —
+     including on the admission-shed path, where the body never ran. *)
+  Option.iter (release_snapshot db) rsnapshot;
   (* Durable mode: hold the client until the flush covering this
      transaction's log epoch completes (the executor slot is already free,
      so group commit costs latency, not admission capacity). *)
-  (* The snapshot's GC pin is dropped as soon as the outcome is known —
-     including on the admission-shed path, where the body never ran. *)
-  (match root.rsnapshot with Some s -> release_snapshot db s | None -> ());
-  (match out with
+  let result = Protocol.result_of out in
+  (match result with
   | Ok _ ->
     let t_flush = Engine.current_time () in
-    wait_durable db root;
-    Obs.Trace.add tr Obs.Phase.Flush_wait (Engine.current_time () -. t_flush)
+    wait_durable db rx;
+    Obs.Trace.add (P.trace root) Obs.Phase.Flush_wait (Engine.current_time () -. t_flush)
   | Error _ -> ());
-  let result =
-    match out with Ok v -> Ok v | Error (_, m, _) -> Error m
-  in
   let latency = Engine.current_time () -. t_start in
   (* Overhead bucket = everything not attributed to the execution-path
      buckets: input generation, dispatch, commit, queueing. *)
   bd.bd_overhead <-
     Float.max 0.
       (latency -. bd.bd_sync_exec -. bd.bd_cs -. bd.bd_cr -. bd.bd_async_exec);
-  let participants =
-    Stdlib.max 1 (List.length (Occ.Txn.containers txn))
-  in
+  let containers_touched = List.length (Occ.Txn.containers txn) in
   let abort_cause =
-    match out with
-    | Ok _ -> None
-    | Error (_, _, kind) -> Some (Obs.Abort.cause ~participants ~retry kind)
+    Protocol.settle db.ps ~slot:rst.home
+      ~participants:(Stdlib.max 1 containers_touched) ~retry
+      ~readonly:(rsnapshot <> None) ~latency_us:latency (P.trace root) out
   in
-  (match out with
-  | Ok _ ->
-    db.committed <- db.committed + 1;
-    if root.rsnapshot <> None then db.n_ro_commits <- db.n_ro_commits + 1
-  | Error (k, _, _) ->
-    db.aborted <- db.aborted + 1;
-    bump db.abort_reasons (bucket_of_class k));
-  (match db.obs with
-  | None -> ()
-  | Some c -> (
-    match abort_cause with
-    | None ->
-      Obs.Collector.record_commit c ~container:rst.home ~participants ~retry
-        ~readonly:(root.rsnapshot <> None) ~latency_us:latency tr
-    | Some cause ->
-      Obs.Collector.record_abort c ~container:rst.home ~latency_us:latency
-        ~cause tr));
-  {
-    result;
-    latency;
-    breakdown = bd;
-    containers_touched = List.length (Occ.Txn.containers txn);
-    abort_cause;
-    snapshot = root.rsnapshot;
-  }
+  { result; latency; breakdown = bd;
+    containers_touched; abort_cause; snapshot = rsnapshot }
 
 (* ------------------------------------------------------------------ *)
 (* Live reconfiguration (DESIGN.md §11): online reactor migration.
@@ -1256,9 +774,7 @@ let create eng decl cfg prof =
       containers;
       reactors = Hashtbl.create 256;
       txn_counter = 0;
-      committed = 0;
-      aborted = 0;
-      abort_reasons = Hashtbl.create 8;
+      ps = Protocol.make_state Chaos.none;
       record_history = false;
       hist = [];
       stats_since = Engine.now eng;
@@ -1270,12 +786,9 @@ let create eng decl cfg prof =
       epoch_waiters = [];
       n_flushes = 0;
       wal_error = None;
-      obs = None;
-      chaos = Chaos.none;
       mailbox_cap = None;
       snapshots_enabled = true;
       snap_live = Hashtbl.create 16;
-      n_ro_commits = 0;
       rorder = List.map (fun e -> e.Bootstrap.bs_name) entries;
       mig_gen = 0;
       mig_inflight = [| 0; 0 |];
@@ -1286,17 +799,12 @@ let create eng decl cfg prof =
       placement_epoch = 0;
       n_migrations = 0;
       mig_pause_last = 0.;
-      prim_gen = 0;
-      fenced = false;
-      n_fenced = 0;
     }
   in
   List.iter
     (fun e ->
       Hashtbl.add db.reactors e.Bootstrap.bs_name
-        { rname = e.Bootstrap.bs_name; rtype = e.Bootstrap.bs_rtype;
-          rcatalog = e.Bootstrap.bs_catalog; home = e.Bootstrap.bs_home;
-          cache_recency = [] })
+        { re = e; home = e.Bootstrap.bs_home; cache_recency = [] })
     entries;
   Array.iter
     (fun cont ->
@@ -1304,7 +812,7 @@ let create eng decl cfg prof =
     containers;
   db
 
-let catalog_of db name = (reactor_state db name).rcatalog
+let catalog_of db name = (reactor_state db name).re.Bootstrap.bs_catalog
 let container_of db name = (reactor_state db name).home
 let n_migrations db = db.n_migrations
 let placement_epoch db = db.placement_epoch
@@ -1325,11 +833,9 @@ let apply_placements db pl =
         rst.home <- dst
       | Some _ | None -> ())
     pl
-let n_committed db = db.committed
-let n_aborted db = db.aborted
-
-let aborts_by_reason db =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) db.abort_reasons []
+let n_committed db = Atomic.get db.ps.Protocol.committed
+let n_aborted db = Atomic.get db.ps.Protocol.aborted
+let aborts_by_reason db = Protocol.aborts_by_reason db.ps
 
 let utilizations db =
   let total = Float.max 1e-9 (Engine.now db.eng -. db.stats_since) in
@@ -1348,11 +854,8 @@ let utilizations db =
   Array.of_list (List.rev !out)
 
 let reset_stats db =
-  db.committed <- 0;
-  db.aborted <- 0;
+  Protocol.reset_counts db.ps;
   db.n_flushes <- 0;
-  db.n_ro_commits <- 0;
-  Hashtbl.reset db.abort_reasons;
   (* The history log is NOT cleared: serializability certification needs
      every installed version, including warm-up transactions whose writes
      later transactions read. *)
@@ -1370,12 +873,12 @@ let attach_wal ?(durable = false) db log =
   db.wal <- Some log;
   db.durable <- durable
 
-let attach_obs db c = db.obs <- Some c
-let attach_chaos db c = db.chaos <- c
+let attach_obs db c = db.ps.Protocol.obs <- Some c
+let attach_chaos db c = db.ps.Protocol.chaos <- c
 let set_mailbox_cap db cap = db.mailbox_cap <- cap
 let set_snapshots db b = db.snapshots_enabled <- b
 let snapshots_enabled db = db.snapshots_enabled
-let n_readonly_commits db = db.n_ro_commits
+let n_readonly_commits db = Atomic.get db.ps.Protocol.ro_commits
 let wal_error db = db.wal_error
 let n_log_flushes db = db.n_flushes
 let enable_history db = db.record_history <- true
@@ -1389,9 +892,9 @@ let enable_history db = db.record_history <- true
    promotion uses after a primary crash. *)
 let durable_epoch db = db.flushed_epoch
 
-let generation db = db.prim_gen
-let set_generation db g = db.prim_gen <- g
-let fence db = db.fenced <- true
-let fenced db = db.fenced
-let n_fenced_refusals db = db.n_fenced
+let generation db = Atomic.get db.ps.Protocol.generation
+let set_generation db g = Atomic.set db.ps.Protocol.generation g
+let fence db = Atomic.set db.ps.Protocol.fenced true
+let fenced db = Atomic.get db.ps.Protocol.fenced
+let n_fenced_refusals db = Atomic.get db.ps.Protocol.n_fenced
 let history db = List.rev db.hist

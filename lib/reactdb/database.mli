@@ -186,11 +186,13 @@ val n_readonly_commits : t -> int
 val n_committed : t -> int
 val n_aborted : t -> int
 
-(** Aborts by typed class: "user" ({!Occ.Txn.Abort}), "validation"
-    (execution-time conflicts, {!Occ.Txn.Conflict}, plus commit-time
-    validation/2PC failures), "dangerous-structure"
-    ({!Reactor.Dangerous_call}, §2.2.4). Classification is by exception
-    constructor, never by message text. *)
+(** Aborts by typed class, in this order: "user" ({!Occ.Txn.Abort}),
+    "validation" (execution-time conflicts, {!Occ.Txn.Conflict}, plus
+    commit-time validation/2PC failures), "dangerous-structure"
+    ({!Reactor.Dangerous_call}, §2.2.4), "timeout", "overloaded" and
+    "internal" (fenced refusals, killed or log-failed commits); empty
+    buckets are omitted and the counts sum to {!n_aborted}.
+    Classification is by exception constructor, never by message text. *)
 val aborts_by_reason : t -> (string * int) list
 
 (** Fraction of virtual time each executor's core was busy since bootstrap,
@@ -262,11 +264,12 @@ val wal_error : t -> string option
 
     [attach_chaos t chaos] installs a seeded fault injector (see
     {!Chaos}); the simulator probes it at its catalogued injection points
-    — [Stall_flush], charged as {e virtual} delay inside the group-commit
-    flusher before the device flush, and [Kill_primary], which fences the
-    engine mid-2PC (votes resolved, nothing installed — see the fencing
-    section above). Delivery/prepare stalls are wall-clock concepts
-    probed by the parallel runtime.
+    (DESIGN.md §7.4), charging every stall as {e virtual} delay:
+    [Delay_delivery] before a root or shipped sub-call starts on its
+    executor, [Stall_prepare] after a successful prepare with locks held,
+    [Stall_flush] inside the group-commit flusher before the device
+    flush, and [Kill_primary], which fences the engine mid-2PC (votes
+    resolved, nothing installed — see the fencing section above).
 
     [set_mailbox_cap t (Some cap)] bounds every executor's request queue
     for {e root admission only}: a root arriving when its home executor

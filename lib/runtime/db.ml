@@ -132,15 +132,11 @@ type t = {
       (* table uid -> (reactor, table); read-only after bootstrap *)
   epoch_len : float;
   wal : wal_sink option;
-  chaos : Chaos.t;
+  ps : Reactdb.Protocol.state;
+      (* counters, collector, injector and the fence (DESIGN.md §12.4); the
+         collector's slot [c] is only ever written by container [c]'s home
+         domain, so recording needs no locks *)
   txn_counter : int Atomic.t;
-  committed : int Atomic.t;
-  aborted : int Atomic.t;
-  ab_user : int Atomic.t;
-  ab_validation : int Atomic.t;
-  ab_dangerous : int Atomic.t;
-  ab_timeout : int Atomic.t;
-  ab_overload : int Atomic.t;
   fatal : int Atomic.t;
   fatal_mu : Mutex.t;
   mutable fatal_msgs : string list;
@@ -156,7 +152,6 @@ type t = {
       (* epoch -> RW roots past their body but with installs possibly still
          in flight; holds the snapshot boundary below any epoch that could
          still produce an install *)
-  n_ro_commits : int Atomic.t;
   submitted : int Atomic.t;
   completed : int Atomic.t;
   (* Live-reconfiguration state (DESIGN.md §11). [mig_gen] is the placement
@@ -179,9 +174,6 @@ type t = {
   n_migrations : int Atomic.t;
   mig_pause_last_us : float Atomic.t;
   mutable domains : unit Domain.t array;
-  mutable obs : Obs.Collector.t option;
-      (* lifecycle tracing sink; slot [c] only ever written by container
-         [c]'s home domain, so recording needs no locks *)
 }
 
 let record_fatal db e =
@@ -237,7 +229,7 @@ let domain_loop db ex =
   let run msg =
     (* Chaos: an unresponsive executor domain — everything queued behind
        this mailbox waits out the stall. One branch when chaos is off. *)
-    Chaos.inject_wall db.chaos Chaos.Stall_domain;
+    Chaos.inject_wall db.ps.Reactdb.Protocol.chaos Chaos.Stall_domain;
     let t_run = Unix.gettimeofday () in
     run_fiber db ex msg;
     let t_done = Unix.gettimeofday () in
@@ -263,102 +255,12 @@ let fiber_await (iv : 'a Ivar.t) : 'a =
   | Some v -> v
   | None -> Effect.perform (Suspend (fun waker -> Ivar.on_fill iv waker))
 
-(* ------------------------------------------------------------------ *)
-(* Root transaction state. The [Occ.Txn.t] context is shared by all of a
-   root's sub-transactions, which may execute concurrently on different
-   domains; [rmu] serializes every procedure body of the root and is
-   released across all suspension points, so it is never held by a blocked
-   fiber — each fiber locks only its own root's mutex and never while
-   holding another, hence no hold-and-wait and no deadlock. *)
-
-type abort_class =
-  | Ab_user
-  | Ab_conflict
-  | Ab_validation
-  | Ab_dangerous
-  | Ab_timeout
-
-let classify_exn = function
-  | Occ.Txn.Abort m -> Some (Ab_user, m)
-  | Occ.Txn.Conflict m -> Some (Ab_conflict, m)
-  | Reactor.Dangerous_call m -> Some (Ab_dangerous, m)
-  | Obs.Abort.Timed_out m -> Some (Ab_timeout, m)
-  | _ -> None
-
-let bucket_counter db = function
-  | Ab_user -> db.ab_user
-  | Ab_conflict | Ab_validation -> db.ab_validation
-  | Ab_dangerous -> db.ab_dangerous
-  | Ab_timeout -> db.ab_timeout
-
-let obs_kind_of_class = function
-  | Ab_user -> Obs.Abort.User
-  | Ab_conflict -> Obs.Abort.Conflict
-  | Ab_validation -> Obs.Abort.Internal (* refined by fail_reason when known *)
-  | Ab_dangerous -> Obs.Abort.Dangerous
-  | Ab_timeout -> Obs.Abort.Timeout
-
-let obs_kind_of_fail = function
-  | Occ.Commit.Lock_busy -> Obs.Abort.Lock_busy
-  | Occ.Commit.Stale_read -> Obs.Abort.Stale_read
-  | Occ.Commit.Node_changed -> Obs.Abort.Node_changed
-  | Occ.Commit.Key_exists -> Obs.Abort.Key_exists
-
 (* Every lifecycle timestamp — submit, phase boundaries, completion — must
    come from this one function: floats at the microsecond scale (~1e15)
    quantize at ~0.25 us, and mixing grids (e.g. subtracting raw seconds and
    then scaling) makes phase sums drift past the measured latency. On a
    single grid the boundary values telescope, so sum(phases) <= latency. *)
 let now_us () = Unix.gettimeofday () *. 1e6
-
-type subresult = (Value.t, exn) result
-
-type sub = { siv : subresult Ivar.t }
-
-type root = {
-  txn : Occ.Txn.t;
-  rmu : Mutex.t;
-  active_set : (string, unit) Hashtbl.t;
-  tr : Obs.Trace.t; (* lifecycle trace; Obs.Trace.none when no collector *)
-  deadline_us : float;
-      (* absolute wall-clock deadline on the [now_us] grid; [infinity] when
-         the root has no deadline, which keeps every check a float compare
-         with no clock read *)
-  mutable doomed : (abort_class * string) option;
-      (* a sub-transaction aborted: the root may not commit even if
-         application code swallowed the exception (§2.2.3) *)
-  rsnapshot : int option;
-      (* read-only root: the frozen snapshot epoch its reads resolve
-         against; [None] for ordinary OCC roots *)
-  rgen : int;
-      (* placement generation stamped at registration ([submit]); a root
-         with [rgen] <= a migration's cutoff may keep using the old home —
-         the drain waits for it — while later roots park at the stub *)
-}
-
-let deadline_expired root =
-  root.deadline_us < Float.infinity && now_us () > root.deadline_us
-
-(* Deadline checks sit at phase boundaries only — dequeue, sub-call start,
-   resume after an await, post-sync, commit entry, 2PC prepare — never
-   inside application code, so an expired deadline always surfaces through
-   the same typed-abort unwinding as any other abort (children awaited,
-   active-set cleaned, locks released). *)
-let check_deadline root ~where =
-  if deadline_expired root then
-    raise (Obs.Abort.Timed_out ("deadline expired " ^ where))
-
-type frame = {
-  froot : root;
-  fentry : Reactdb.Bootstrap.entry;
-  fhome : int;  (* the frame's resolved container — stable for the frame's
-                   lifetime by the drain argument (§11): a flip only happens
-                   after every root allowed at the old home completed *)
-  fex : exec;
-  fpath : bool; (* on the root's critical path (root fiber), like the
-                   simulator's [on_root_path] *)
-  mutable children : sub list;
-}
 
 let reactor_place db name =
   match Hashtbl.find_opt db.reactors name with
@@ -414,185 +316,6 @@ let park_at_stub db reactor k =
   | None ->
     Mutex.unlock db.mig_mu;
     k ()
-
-(* Await a child with the root mutex released: the child itself needs [rmu]
-   to run. On the root path the blocked window (suspension until the waker
-   fires, plus re-acquiring [rmu]) is stamped into the lifecycle trace. *)
-let await_sub root ~on_root_path sub =
-  match Ivar.peek sub.siv with
-  | Some r -> r
-  | None ->
-    let timed = on_root_path && Obs.Trace.enabled root.tr in
-    let t0 = if timed then now_us () else 0. in
-    Mutex.unlock root.rmu;
-    let r = fiber_await sub.siv in
-    Mutex.lock root.rmu;
-    if timed then Obs.Trace.add root.tr Obs.Phase.Suspend_wait (now_us () -. t0);
-    r
-
-(* Mirrors the simulator's execution semantics (Database.run_procedure /
-   do_call) minus cost charging: self-calls and same-container calls are
-   inlined, cross-container calls ship to the owning domain and return a
-   real future, and implicit synchronization awaits every child before the
-   frame completes. Caller holds [root.rmu]. *)
-let rec run_procedure db ~root ~entry ~home ~ex ~on_root_path ~proc_name ~args =
-  let procfn = Reactor.find_proc entry.Reactdb.Bootstrap.bs_rtype proc_name in
-  let frame =
-    { froot = root; fentry = entry; fhome = home; fex = ex;
-      fpath = on_root_path; children = [] }
-  in
-  let ctx =
-    {
-      Reactor.db =
-        Query.Exec.make_ctx ?snapshot:root.rsnapshot ~txn:root.txn
-          ~container:home
-          ~catalog:entry.Reactdb.Bootstrap.bs_catalog
-          ~charge:(fun _ _ -> ())
-          ~work:(fun _ -> ())
-          ();
-      self = entry.Reactdb.Bootstrap.bs_name;
-      call = (fun ~reactor ~proc ~args -> do_call db frame ~reactor ~proc ~args);
-      collect =
-        (fun futures ->
-          (* Fork–join barrier, mirroring the simulator: consume every
-             future before raising anything (resolved ivars are peeked for
-             free, so completion order doesn't matter), then re-raise the
-             first non-deadline error in list order. Raising only after
-             all siblings completed means a timed-out collect never
-             unwinds with sub-transactions still mutating callee state; a
-             deadline expiry seen by any per-future resume check is the
-             root's one budget, so it is reported as the collect-boundary
-             check firing. *)
-          let results =
-            List.map
-              (fun f -> try Ok (f.Reactor.get ()) with e -> Error e)
-              futures
-          in
-          (match
-             List.find_opt
-               (function
-                 | Error (Obs.Abort.Timed_out _) | Ok _ -> false
-                 | Error _ -> true)
-               results
-           with
-          | Some (Error e) -> raise e
-          | _ -> ());
-          if
-            List.exists
-              (function Error _ -> true | Ok _ -> false)
-              results
-          then raise (Obs.Abort.Timed_out "deadline expired at collect boundary");
-          check_deadline root ~where:"at collect boundary";
-          List.map
-            (function Ok v -> v | Error _ -> assert false)
-            results);
-    }
-  in
-  let result = try Ok (procfn ctx args) with e -> Error e in
-  let first_err = ref (match result with Error e -> Some e | Ok _ -> None) in
-  List.iter
-    (fun sub ->
-      match await_sub root ~on_root_path:frame.fpath sub with
-      | Ok _ -> ()
-      | Error e -> if !first_err = None then first_err := Some e)
-    (List.rev frame.children);
-  (* Implicit sync done: every child has completed, so raising here cannot
-     leave a sub-transaction mutating the shared context. *)
-  if !first_err = None && frame.children <> [] && deadline_expired root then
-    first_err := Some (Obs.Abort.Timed_out "deadline expired after implicit sync");
-  match !first_err with
-  | Some e -> raise e
-  | None -> (match result with Ok v -> v | Error _ -> assert false)
-
-and do_call db frame ~reactor ~proc ~args =
-  let root = frame.froot in
-  if reactor = frame.fentry.Reactdb.Bootstrap.bs_name then begin
-    (* Self-call: inlined synchronously (§2.2.4). *)
-    let v =
-      run_procedure db ~root ~entry:frame.fentry ~home:frame.fhome
-        ~ex:frame.fex ~on_root_path:frame.fpath ~proc_name:proc ~args
-    in
-    { Reactor.get = (fun () -> v) }
-  end
-  else begin
-    let tplace = reactor_place db reactor in
-    let tentry = tplace.re in
-    if Hashtbl.mem root.active_set reactor then
-      raise
-        (Reactor.Dangerous_call
-           (Printf.sprintf "dangerous call structure: reactor %s already active"
-              reactor));
-    (* Placement gate: a post-mark root may not touch a migrating reactor —
-       its sub-call parks at the stub and ships after the flip. Pre-mark
-       roots resolve the (old) home and proceed; the drain waits for them. *)
-    let resolved = resolve_home db ~rgen:root.rgen tplace in
-    match resolved with
-    | Some h when h = frame.fhome ->
-      (* Same container = same domain: run inline, no messaging. *)
-      Hashtbl.add root.active_set reactor ();
-      let finally () = Hashtbl.remove root.active_set reactor in
-      let v =
-        try
-          run_procedure db ~root ~entry:tentry ~home:h ~ex:frame.fex
-            ~on_root_path:frame.fpath ~proc_name:proc ~args
-        with e ->
-          finally ();
-          raise e
-      in
-      finally ();
-      { Reactor.get = (fun () -> v) }
-    | _ ->
-      (* Cross-container (or parked): ship the body to the owning domain.
-         The child job blocks on [rmu] before touching any shared
-         transaction state; the holder is always a running (never
-         suspended) fiber, so the wait is finite. The home is re-read at
-         dispatch time — for a parked call that is after the flip. *)
-      Hashtbl.add root.active_set reactor ();
-      let iv = Ivar.create () in
-      let ship () =
-        let rex = db.execs.(Atomic.get tplace.rhome) in
-        Mailbox.push rex.mb (fun () ->
-            (* Chaos: the shipped sub-call stalls before it starts executing
-               on the destination domain. *)
-            Chaos.inject_wall db.chaos Chaos.Delay_delivery;
-            Mutex.lock root.rmu;
-            let res =
-              try
-                check_deadline root ~where:"at sub-transaction start";
-                Ok
-                  (run_procedure db ~root ~entry:tentry ~home:rex.eid ~ex:rex
-                     ~on_root_path:false ~proc_name:proc ~args)
-              with e -> Error e
-            in
-            (match res with
-            | Error e -> (
-              match classify_exn e with
-              | Some km -> if root.doomed = None then root.doomed <- Some km
-              | None -> ())
-            | Ok _ -> ());
-            Hashtbl.remove root.active_set reactor;
-            Mutex.unlock root.rmu;
-            Ivar.fill iv res)
-      in
-      (match resolved with
-      | Some _ -> ship ()
-      | None -> park_at_stub db reactor ship);
-      let sub = { siv = iv } in
-      frame.children <- sub :: frame.children;
-      {
-        Reactor.get =
-          (fun () ->
-            match await_sub root ~on_root_path:frame.fpath sub with
-            | Ok v ->
-              (* Resumed after a (possibly long) suspension: re-check the
-                 budget before letting the body continue. Raises inside the
-                 procedure body, so the implicit sync still awaits every
-                 sibling before the frame unwinds. *)
-              check_deadline root ~where:"on resume after sub-transaction";
-              v
-            | Error e -> raise e);
-      }
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Silo epochs on the wall clock. Only monotonicity matters for TID
@@ -753,369 +476,162 @@ let flusher_loop db s =
   in
   loop ()
 
-(* After-images come from the transaction's private buffers, captured
-   before the commit protocol runs: update rows are the buffered arrays,
-   insert records are still locked (lock held from creation) so no later
-   committer can swap their data pointer, delete keys are immutable. *)
-let wal_writes db txn =
-  List.map
-    (fun e ->
-      let reactor, table =
-        match
-          Hashtbl.find_opt db.table_owner e.Occ.Txn.wtable.Storage.Table.uid
-        with
-        | Some rt -> rt
-        | None -> ("?", e.Occ.Txn.wtable.Storage.Table.schema.Storage.Schema.sname)
-      in
-      match e.Occ.Txn.kind with
-      | Occ.Txn.Update row -> Wal.Put { reactor; table; row }
-      | Occ.Txn.Insert ->
-        Wal.Put { reactor; table; row = e.Occ.Txn.wrec.Storage.Record.data }
-      | Occ.Txn.Delete -> Wal.Del { reactor; table; key = e.Occ.Txn.wkey })
-    (Occ.Txn.all_writes txn)
-
 (* ------------------------------------------------------------------ *)
-(* Commit protocols. Runs on the root's fiber with [rmu] released — all
-   children have completed by now, so the transaction context is quiescent;
-   the mailbox and ivar mutexes give the coordinator happens-before edges
-   to every participant's writes. Each container's prepare/install/release
-   executes on the domain that owns it, preserving data ownership. *)
+(* The protocol over domains and fibers (DESIGN.md §5.3). A root's
+   [Occ.Txn.t] is shared by its sub-transactions, which may run
+   concurrently on different domains; the root's mutex serializes every
+   procedure body of the root and is released across all suspension
+   points, so it is never held by a blocked fiber — each fiber locks only
+   its own root's mutex and never while holding another, hence no
+   hold-and-wait and no deadlock. Commit steps run with it released: the
+   context is quiescent by then, and the mailbox and ivar mutexes give the
+   coordinator happens-before edges to every participant's writes. Time is
+   real, so every cost charge is a no-op. *)
 
-(* Typed commit failures: [C_fail] carries the validation verdict,
-   [C_internal] means a guarded commit step died on an exception (recorded
-   fatal), [C_timeout] is a participant refusing to prepare past the root's
-   deadline. *)
-type commit_err =
-  | C_fail of Occ.Commit.fail_reason
-  | C_internal
-  | C_timeout
+type commit_pending = {
+  cp_epoch : int;  (* registered commit epoch, see [commit_register] *)
+  cp_wal : (wal_sink * Wal.write list * int) option;
+      (* sink, after-images and the epoch tag of a durable commit *)
+}
 
-(* [coord] is the domain the root's fiber is physically running on — its
-   home unless the root was cost-routed. Each participant's
-   prepare/install/release still executes on the domain owning that
-   container; [coord] only decides which participant (if any) is inlined. *)
-let two_phase db root ~coord containers ~epoch =
-  let remote c f =
+let no_charges = ((fun _ _ -> ()), fun _ -> ())
+
+module P = Reactdb.Protocol.Make (struct
+  type nonrec t = t
+  type nonrec exec = exec
+  type nonrec place = place
+  type rext = Mutex.t
+  type fext = unit
+  type pending = commit_pending
+  type 'a ivar = 'a Ivar.t
+
+  let state db = db.ps
+  let now = now_us
+  let timed = Obs.Trace.enabled
+  let container ex = ex.eid
+  let place = reactor_place
+  let entry p = p.re
+
+  (* A post-mark root's sub-call suspends its fiber at the stub and
+     resumes after the flip, against the new home. *)
+  let gate db rmu _ ~rgen p =
+    match resolve_home db ~rgen p with
+    | Some h -> h
+    | None ->
+      Mutex.unlock rmu;
+      Effect.perform (Suspend (park_at_stub db p.re.Reactdb.Bootstrap.bs_name));
+      Mutex.lock rmu;
+      Atomic.get p.rhome
+
+  let sub_exec db _ p = db.execs.(Atomic.get p.rhome)
+  let participant db _ c = db.execs.(c)
+
+  let spawn ex f =
     let iv = Ivar.create () in
-    Mailbox.push db.execs.(c).mb (fun () -> Ivar.fill iv (f ()));
+    Mailbox.push ex.mb (fun () -> Ivar.fill iv (f ()));
     iv
-  in
-  (* One participant's prepare: refuse outright when the root's deadline
-     has already passed (no locks taken — the coordinator treats the vote
-     like any abort vote and rolls the others back), otherwise validate.
-     The chaos stall fires after a successful prepare, i.e. with this
-     participant's write locks held — the worst place to lose time. *)
-  let prepare_vote c () =
-    if deadline_expired root then Error C_timeout
-    else begin
-      let r = Occ.Commit.prepare root.txn ~container:c in
-      if Result.is_ok r then Chaos.inject_wall db.chaos Chaos.Stall_prepare;
-      Result.map_error (fun fr -> C_fail fr) r
-    end
-  in
-  (* An exception out of a commit step would leave the coordinator waiting
-     forever; degrade to an abort vote / recorded fatal instead. *)
-  let guard_vote f () =
-    try f ()
-    with e -> record_fatal db e; Error C_internal
-  in
-  let guard_ack f () = try f () with e -> record_fatal db e in
-  let timed = Obs.Trace.enabled root.tr in
-  let t_val = if timed then now_us () else 0. in
-  (* Phase 1: validate with locks everywhere. *)
-  let prepares =
-    List.map
-      (fun c ->
-        if c = coord then (c, `Done (prepare_vote c ()))
-        else (c, `Pending (remote c (guard_vote (prepare_vote c)))))
-      containers
-  in
-  let resolved =
-    List.map
-      (fun (c, r) ->
-        match r with `Done v -> (c, v) | `Pending iv -> (c, fiber_await iv))
-      prepares
-  in
-  if timed then Obs.Trace.add root.tr Obs.Phase.Validation (now_us () -. t_val);
-  let t_dec = if timed then now_us () else 0. in
-  let finish r =
-    if timed then Obs.Trace.add root.tr Obs.Phase.Commit (now_us () -. t_dec);
-    r
-  in
-  if List.for_all (fun (_, v) -> Result.is_ok v) resolved then begin
-    let tid = Occ.Commit.compute_tid root.txn ~epoch in
-    let horizon = install_horizon db in
-    (* Phase 2: install. *)
-    let acks =
-      List.map
-        (fun c ->
-          if c = coord then begin
-            Occ.Commit.install ?horizon root.txn ~container:c ~tid;
-            None
-          end
-          else
-            Some
-              (remote c
-                 (guard_ack (fun () ->
-                      Occ.Commit.install ?horizon root.txn ~container:c ~tid))))
-        containers
-    in
-    List.iter (function Some iv -> fiber_await iv | None -> ()) acks;
-    finish (Ok tid)
-  end
-  else begin
-    (* Phase 2: roll back every prepared participant. *)
-    let acks =
-      List.filter_map
-        (fun (c, v) ->
-          if Result.is_error v then None
-          else if c = coord then begin
-            Occ.Commit.release root.txn ~container:c;
-            None
-          end
-          else
-            Some
-              (remote c
-                 (guard_ack (fun () -> Occ.Commit.release root.txn ~container:c))))
-        resolved
-    in
-    List.iter (fun iv -> fiber_await iv) acks;
-    let reason =
-      List.find_map
-        (fun (_, v) -> match v with Error r -> Some r | Ok () -> None)
-        resolved
-    in
-    finish (Error (Option.value reason ~default:C_internal))
-  end
 
-(* Commit coordinated from [run_eid], the domain the root's fiber runs on.
-   [epoch] is the root's registered commit epoch (see [commit_register]) —
-   using it, rather than re-reading the clock, keeps the inflight registry
-   a true lower bound on install epochs. Returns the Silo TID on success
-   (0 for an empty write/read set). *)
-let do_commit db root ~run_eid ~epoch =
-  match Occ.Txn.containers root.txn with
-  | [] -> Ok 0
-  | [ c ] when c = run_eid ->
-    (* commit_single, unrolled so validation and install land in their own
-       trace phases. *)
-    let timed = Obs.Trace.enabled root.tr in
-    let t0 = if timed then now_us () else 0. in
-    (match Occ.Commit.prepare root.txn ~container:c with
-    | Error r ->
-      if timed then Obs.Trace.add root.tr Obs.Phase.Validation (now_us () -. t0);
-      Error (C_fail r)
-    | Ok () ->
-      if timed then Obs.Trace.add root.tr Obs.Phase.Validation (now_us () -. t0);
-      let t1 = if timed then now_us () else 0. in
-      let tid = Occ.Commit.compute_tid root.txn ~epoch in
-      Occ.Commit.install ?horizon:(install_horizon db) root.txn ~container:c
-        ~tid;
-      if timed then Obs.Trace.add root.tr Obs.Phase.Commit (now_us () -. t1);
-      Ok tid)
-  | [ c ] ->
-    (* Cost-routed single-container root: the body ran off-home, so the
-       whole prepare/compute-TID/install re-pins to the owning domain as
-       one message — container-local structural access stays
-       owner-serialized at the price of a single round trip. *)
-    let timed = Obs.Trace.enabled root.tr in
-    let t0 = if timed then now_us () else 0. in
-    let iv = Ivar.create () in
-    Mailbox.push db.execs.(c).mb (fun () ->
-        Ivar.fill iv
-          (try
-             if deadline_expired root then (Error C_timeout, 0.)
-             else
-               match Occ.Commit.prepare root.txn ~container:c with
-               | Error r -> (Error (C_fail r), 0.)
-               | Ok () ->
-                 Chaos.inject_wall db.chaos Chaos.Stall_prepare;
-                 let ti = if timed then now_us () else 0. in
-                 let tid = Occ.Commit.compute_tid root.txn ~epoch in
-                 Occ.Commit.install ?horizon:(install_horizon db) root.txn
-                   ~container:c ~tid;
-                 (Ok tid, if timed then now_us () -. ti else 0.)
-           with e ->
-             record_fatal db e;
-             (Error C_internal, 0.)));
-    let r, commit_us = fiber_await iv in
-    if timed then begin
-      (* Messaging and owner-queue residence count toward validation, the
-         install span toward commit — same attribution as 2PC. *)
-      let total = now_us () -. t0 in
-      Obs.Trace.add root.tr Obs.Phase.Validation
-        (Float.max 0. (total -. commit_us));
-      Obs.Trace.add root.tr Obs.Phase.Commit commit_us
-    end;
-    r
-  | containers -> two_phase db root ~coord:run_eid containers ~epoch
+  let peek = Ivar.peek
+  let await _ iv = fiber_await iv
+  let enter = Mutex.lock
+  let leave = Mutex.unlock
+  let charge _ _ = ()
+  let frame_enter _ _ _ ~home:_ _ ~on_root_path:_ = ()
+  let frame_exit _ _ = ()
+  let charges _ () = no_charges
+  let send _ () ~src:_ _ = 0
+  let resumed _ () ~sfid:_ ~blocked:_ = ()
+  let stall db kind = Chaos.inject_wall db.ps.Reactdb.Protocol.chaos kind
+  let fatal = record_fatal
+  let horizon = install_horizon
+
+  (* Durable mode captures the after-images and registers against the
+     flush boundary before the commit decision (the epoch rule above); the
+     commit epoch is registered so snapshot acquisition never freezes an
+     epoch with installs still in flight. *)
+  let commit_begin db txn =
+    let cp_wal =
+      match db.wal with
+      | None -> None
+      | Some s -> (
+        match Reactdb.Protocol.redo_writes db.table_owner txn with
+        | [] -> None
+        | writes -> Some (s, writes, sink_register db s))
+    in
+    { cp_epoch = commit_register db; cp_wal }
+
+  let commit_epoch p = p.cp_epoch
+  let log_ahead _ _ _ ~tid:_ = Ok ()
+
+  let commit_end db txn p ~tid =
+    commit_deregister db p.cp_epoch;
+    match (tid, p.cp_wal) with
+    | _, None -> None
+    | Some tid, Some (s, writes, etag) ->
+      Some
+        (sink_append s ~epoch:etag
+           { Wal.le_txn = Occ.Txn.id txn; le_tid = tid; le_writes = writes })
+    | None, Some (s, _, etag) ->
+      sink_cancel s ~epoch:etag;
+      None
+end)
 
 (* ------------------------------------------------------------------ *)
 (* Root execution: one root mailbox message, run by the domain it was
-   pushed to — [run_ex]. The body executes on [run_ex]; the
-   commit protocol re-pins every container's prepare/install to its owning
-   domain. Guaranteed to call [k] and bump [completed] exactly once —
-   quiescence depends on it. *)
+   pushed to — [ex]. The body executes on [ex]; the commit protocol
+   re-pins every container's prepare/install to its owning domain.
+   Guaranteed to call [k] and bump [completed] exactly once — quiescence
+   depends on it. *)
+
+let complete db ~k out =
+  (try k out with e -> record_fatal db e);
+  Atomic.incr db.completed
 
 let exec_root db ~reactor ~proc ~args ~ro ~retry ~rgen ~t_submit ~deadline_us
-    ~k (run_ex : exec) =
-  (* Chaos: the root dispatch message stalls before execution begins. *)
-  Chaos.inject_wall db.chaos Chaos.Delay_delivery;
+    ~k (ex : exec) =
   maybe_advance_epoch db;
   let place = reactor_place db reactor in
-  let entry = place.re in
   (* Re-read the home at execution start: a parked root replayed after a
      flip must run against the new placement. Stable from here on — a
      subsequent flip waits for this root (its generation is pre-mark
      relative to any later migration). *)
   let home = Atomic.get place.rhome in
-  let ex = run_ex in
   let txn = Occ.Txn.create ~id:(1 + Atomic.fetch_and_add db.txn_counter 1) in
-  let tr =
-    match db.obs with Some c -> Obs.Collector.trace c | None -> Obs.Trace.none
-  in
   let rsnapshot = if ro then Some (acquire_snapshot db) else None in
   let root =
-    { txn; rmu = Mutex.create (); active_set = Hashtbl.create 8; tr;
-      deadline_us; doomed = None; rsnapshot; rgen }
+    P.make_root db ~txn ~rgen ~rsnapshot ~deadline:deadline_us (Mutex.create ())
   in
-  let timed = Obs.Trace.enabled tr in
-  let t_body = if timed then now_us () else 0. in
-  (* Queue wait: submit → this job running on the home domain, including
-     any round-robin forwarding hop and mailbox residence. *)
-  if timed then
-    Obs.Trace.add tr Obs.Phase.Queue_wait (t_body -. t_submit);
-  Mutex.lock root.rmu;
-  Hashtbl.add root.active_set reactor ();
-  let res =
-    try
-      (* Dequeue boundary: a root whose whole budget went to queueing
-         aborts before touching any record. *)
-      check_deadline root ~where:"before execution";
-      let v =
-        run_procedure db ~root ~entry ~home ~ex ~on_root_path:true
-          ~proc_name:proc ~args
-      in
-      match root.doomed with Some km -> Error (`Aborted km) | None -> Ok v
-    with e -> Error (`Fatal e)
-  in
-  Hashtbl.remove root.active_set reactor;
-  Mutex.unlock root.rmu;
-  (* Exec = body span minus the root's suspended windows (stamped by
-     await_sub while the body ran). *)
-  if timed then
-    Obs.Trace.add tr Obs.Phase.Exec
-      (now_us () -. t_body -. Obs.Trace.get tr Obs.Phase.Suspend_wait);
   let verdict =
-    match res with
-    | Ok v when root.rsnapshot <> None ->
-      (* Read-only snapshot root: the result is already final. No read
-         set was tracked and nothing was written, so there is no commit
-         protocol — no validation, no locks, no 2PC, no WAL — and hence
-         nothing that could abort it. *)
-      Ok v
-    | Ok _ when deadline_expired root ->
-      (* Commit entry: nothing is prepared yet, so expiring here just drops
-         the read/write sets — no locks to release. *)
-      Error (Some Ab_timeout, "deadline expired before commit", Obs.Abort.Timeout)
-    | Ok v -> (
-      (* Durable mode: capture after-images and register against the flush
-         boundary before the commit decision (see the epoch rule above). *)
-      let wal_prep =
-        match db.wal with
-        | None -> None
-        | Some s -> (
-          match wal_writes db txn with
-          | [] -> None
-          | writes -> Some (s, writes, sink_register db s))
-      in
-      (* Register the commit epoch before the protocol starts and release
-         it once installs have landed (or the attempt aborted), so snapshot
-         acquisition never freezes an epoch with installs still in
-         flight. *)
-      let ce = commit_register db in
-      let cres =
-        try `C (do_commit db root ~run_eid:ex.eid ~epoch:ce)
-        with e ->
-          record_fatal db e;
-          `F (Printexc.to_string e)
-      in
-      commit_deregister db ce;
-      (match (cres, wal_prep) with
-      | _, None -> ()
-      | `C (Ok tid), Some (s, writes, etag) ->
-        let iv =
-          sink_append s ~epoch:etag
-            { Wal.le_txn = Occ.Txn.id txn; le_tid = tid; le_writes = writes }
-        in
-        let tf = if timed then now_us () else 0. in
-        fiber_await iv;
-        if timed then Obs.Trace.add tr Obs.Phase.Flush_wait (now_us () -. tf)
-      | _, Some (s, _, etag) -> sink_cancel s ~epoch:etag);
-      match cres with
-      | `C (Ok _tid) -> Ok v
-      | `C (Error (C_fail fr)) ->
-        Error (Some Ab_validation, Occ.Commit.fail_message fr, obs_kind_of_fail fr)
-      | `C (Error C_internal) ->
-        Error
-          ( Some Ab_validation,
-            "validation failed (2pc): internal vote error",
-            Obs.Abort.Internal )
-      | `C (Error C_timeout) ->
-        Error
-          ( Some Ab_timeout,
-            "deadline expired during 2pc prepare",
-            Obs.Abort.Timeout )
-      | `F m -> Error (None, "internal commit error: " ^ m, Obs.Abort.Internal))
-    | Error (`Aborted (kc, m)) -> Error (Some kc, m, obs_kind_of_class kc)
-    | Error (`Fatal e) -> (
-      match classify_exn e with
-      | Some (kc, m) -> Error (Some kc, m, obs_kind_of_class kc)
-      | None ->
-        record_fatal db e;
-        Error
-          (None, "internal error: " ^ Printexc.to_string e, Obs.Abort.Internal))
+    P.execute db root ~place ~home ~ex ~reactor ~proc ~args ~t_enq:t_submit
   in
-  (match root.rsnapshot with
-  | Some s -> release_snapshot db s
-  | None -> ());
-  (match verdict with
-  | Ok _ ->
-    Atomic.incr db.committed;
-    if root.rsnapshot <> None then Atomic.incr db.n_ro_commits
-  | Error (kc, _, _) ->
-    Atomic.incr db.aborted;
-    (match kc with Some kc -> Atomic.incr (bucket_counter db kc) | None -> ()));
+  Option.iter (release_snapshot db) rsnapshot;
   let latency_us = now_us () -. t_submit in
-  let participants = Stdlib.max 1 (List.length (Occ.Txn.containers txn)) in
+  let containers_touched = List.length (Occ.Txn.containers txn) in
+  (* Slot ownership follows physical execution: this message runs on
+     [ex]'s domain, so it records into slot [ex.eid] — with cost routing
+     that may differ from the reactor's home container. *)
   let abort_cause =
-    match verdict with
-    | Ok _ -> None
-    | Error (_, _, kind) -> Some (Obs.Abort.cause ~participants ~retry kind)
+    Reactdb.Protocol.settle db.ps ~slot:ex.eid
+      ~participants:(Stdlib.max 1 containers_touched) ~retry
+      ~readonly:(rsnapshot <> None) ~latency_us (P.trace root) verdict
   in
-  (match db.obs with
-  | None -> ()
-  | Some c -> (
-    (* Slot ownership follows physical execution: this message runs on
-       [ex]'s domain, so it records into slot [ex.eid] — with cost routing
-       that may differ from the reactor's home container. *)
-    match abort_cause with
-    | None ->
-      Obs.Collector.record_commit c ~container:ex.eid ~participants ~retry
-        ~readonly:(root.rsnapshot <> None) ~latency_us tr
-    | Some cause ->
-      Obs.Collector.record_abort c ~container:ex.eid ~latency_us ~cause tr));
-  let out =
-    {
-      result = (match verdict with Ok v -> Ok v | Error (_, m, _) -> Error m);
-      latency_us;
-      containers_touched = List.length (Occ.Txn.containers txn);
-      abort_cause;
-      snapshot = root.rsnapshot;
-    }
+  complete db ~k
+    { result = Reactdb.Protocol.result_of verdict; latency_us;
+      containers_touched; abort_cause; snapshot = rsnapshot }
+
+(* An admission refusal — a shed, or a fenced primary — never reaches a
+   domain, so the outcome is synthesized on the submitter's thread. Obs
+   collector slots are owned by home domains, so no lifecycle record is
+   written for it; the typed counters still account for it exactly. *)
+let refuse db ~retry ~t_submit ~k verdict =
+  let latency_us = now_us () -. t_submit in
+  let abort_cause =
+    Reactdb.Protocol.settle db.ps ~participants:1 ~retry ~readonly:false
+      ~latency_us Obs.Trace.none verdict
   in
-  (try k out with e -> record_fatal db e);
-  Atomic.incr db.completed
+  complete db ~k
+    { result = Reactdb.Protocol.result_of verdict; latency_us;
+      containers_touched = 0; abort_cause; snapshot = None }
 
 (* ------------------------------------------------------------------ *)
 (* Cost router. Scores each candidate domain as the §2.4 cost-model latency
@@ -1201,6 +717,10 @@ let submit ?(retry = 0) ?deadline_us db ~reactor ~proc ~args ~k =
      admitted (the stub is its admission queue), so the replay uses
      unconditional pushes; fresh dispatches go through [try_push]. *)
   let dispatch ~replayed home =
+    (* A fenced primary refuses every root before it reaches a mailbox. *)
+    if Reactdb.Protocol.refuse_fenced db.ps then
+      refuse db ~retry ~t_submit ~k Reactdb.Protocol.fenced_refusal
+    else
     let ingress, by_cost =
       if ro || replayed then (home, false)
       else
@@ -1243,24 +763,7 @@ let submit ?(retry = 0) ?deadline_us db ~reactor ~proc ~args ~k =
     if accepted && by_cost then Atomic.incr db.execs.(ingress).routed_by_cost;
     if not accepted then begin
       Atomic.incr db.execs.(ingress).sheds;
-      (* Shed at admission: the attempt never reaches a domain, so the
-         outcome is synthesized on the submitter's thread. Obs collector
-         slots are owned by home domains, so no lifecycle record is written
-         for sheds — the typed counters still account for them exactly. *)
-      Atomic.incr db.aborted;
-      Atomic.incr db.ab_overload;
-      let out =
-        {
-          result = Error "overloaded: admission queue full";
-          latency_us = now_us () -. t_submit;
-          containers_touched = 0;
-          abort_cause =
-            Some (Obs.Abort.cause ~participants:1 ~retry Obs.Abort.Overloaded);
-          snapshot = None;
-        }
-      in
-      (try k out with e -> record_fatal db e);
-      Atomic.incr db.completed
+      refuse db ~retry ~t_submit ~k Reactdb.Protocol.overloaded
     end
   in
   match resolve_home db ~rgen place with
@@ -1452,15 +955,8 @@ let start ?(chaos = Chaos.none) ?mailbox_cap ?wal
       table_owner;
       epoch_len = Float.max 1e-4 epoch_len_s;
       wal = sink;
-      chaos;
+      ps = Reactdb.Protocol.make_state chaos;
       txn_counter = Atomic.make 0;
-      committed = Atomic.make 0;
-      aborted = Atomic.make 0;
-      ab_user = Atomic.make 0;
-      ab_validation = Atomic.make 0;
-      ab_dangerous = Atomic.make 0;
-      ab_timeout = Atomic.make 0;
-      ab_overload = Atomic.make 0;
       fatal = Atomic.make 0;
       fatal_mu = Mutex.create ();
       fatal_msgs = [];
@@ -1471,7 +967,6 @@ let start ?(chaos = Chaos.none) ?mailbox_cap ?wal
       smu = Mutex.create ();
       snap_live = Hashtbl.create 8;
       commit_inflight = Hashtbl.create 8;
-      n_ro_commits = Atomic.make 0;
       submitted = Atomic.make 0;
       completed = Atomic.make 0;
       mig_admin = Mutex.create ();
@@ -1484,7 +979,6 @@ let start ?(chaos = Chaos.none) ?mailbox_cap ?wal
       n_migrations = Atomic.make 0;
       mig_pause_last_us = Atomic.make 0.;
       domains = [||];
-      obs = None;
     }
   in
   db.domains <-
@@ -1522,28 +1016,25 @@ let catalogs db =
     (fun e -> (e.Reactdb.Bootstrap.bs_name, e.Reactdb.Bootstrap.bs_catalog))
     db.entries
 
-let n_committed db = Atomic.get db.committed
-let n_aborted db = Atomic.get db.aborted
+let n_committed db = Atomic.get db.ps.Reactdb.Protocol.committed
+let n_aborted db = Atomic.get db.ps.Reactdb.Protocol.aborted
 
 (* --- snapshot reads --- *)
 
 let set_snapshots db on = Atomic.set db.snap_enabled on
 let snapshots_enabled db = Atomic.get db.snap_enabled
-let n_readonly_commits db = Atomic.get db.n_ro_commits
-
-let aborts_by_reason db =
-  List.filter
-    (fun (_, n) -> n > 0)
-    [
-      ("user", Atomic.get db.ab_user);
-      ("validation", Atomic.get db.ab_validation);
-      ("dangerous-structure", Atomic.get db.ab_dangerous);
-      ("timeout", Atomic.get db.ab_timeout);
-      ("overloaded", Atomic.get db.ab_overload);
-    ]
-
-let attach_obs db c = db.obs <- Some c
+let n_readonly_commits db = Atomic.get db.ps.Reactdb.Protocol.ro_commits
+let aborts_by_reason db = Reactdb.Protocol.aborts_by_reason db.ps
+let attach_obs db c = db.ps.Reactdb.Protocol.obs <- Some c
 let n_fatal db = Atomic.get db.fatal
+
+(* --- generation fencing (DESIGN.md §12.4) --- *)
+
+let generation db = Atomic.get db.ps.Reactdb.Protocol.generation
+let set_generation db g = Atomic.set db.ps.Reactdb.Protocol.generation g
+let fence db = Atomic.set db.ps.Reactdb.Protocol.fenced true
+let fenced db = Atomic.get db.ps.Reactdb.Protocol.fenced
+let n_fenced_refusals db = Atomic.get db.ps.Reactdb.Protocol.n_fenced
 
 (* --- scheduler observability --- *)
 
@@ -1586,7 +1077,7 @@ let load_stats db =
 (* Copy the scheduler counters into the attached collector's slots so they
    ride the versioned report. Call at quiescence, like summarize. *)
 let publish_sched_obs db =
-  match db.obs with
+  match db.ps.Reactdb.Protocol.obs with
   | None -> ()
   | Some c ->
     Array.iter
@@ -1751,6 +1242,16 @@ module Load = struct
 
   let busy_snapshot = busy_times
 
+  (* Admission refusals — sheds and fenced refusals — complete on the
+     submitter's thread: the worker pauses before offering new work (the
+     backpressure response) and hops through the timer domain, since a
+     synchronous resubmit would recurse submit → refuse → submit. *)
+  let refused out =
+    match (out.abort_cause, out.result) with
+    | Some { Obs.Abort.kind = Obs.Abort.Overloaded; _ }, _ -> true
+    | Some _, Error m -> String.equal m Reactdb.Protocol.fenced_message
+    | _ -> false
+
   let run db s =
     let stop = Atomic.make false in
     let measuring = Atomic.make false in
@@ -1806,14 +1307,9 @@ module Load = struct
             ~deadline_us:s.deadline_us ~max_retries:s.max_retries ~observe
             ~req ~idx:0
             ~k:(fun out ->
-              match out.abort_cause with
-              | Some c when c.Obs.Abort.kind = Obs.Abort.Overloaded ->
-                (* Shed at admission: pause before offering new work (the
-                   backpressure response), and hop through the timer domain
-                   — a synchronous resubmit would recurse submit → shed →
-                   submit on the saturated mailbox. *)
+              if refused out then
                 Timer.after timer s.shed_pause_us (fun () -> step w rng)
-              | _ -> step w rng)
+              else step w rng)
     in
     for w = 0 to s.n_workers - 1 do
       step w (Rng.stream ~seed:s.seed w)
@@ -1887,10 +1383,9 @@ module Load = struct
             ~max_retries ~observe ~req ~idx:0
             ~k:(fun out ->
               Atomic.incr done_;
-              match out.abort_cause with
-              | Some c when c.Obs.Abort.kind = Obs.Abort.Overloaded ->
+              if refused out then
                 Timer.after timer 500. (fun () -> step w rng (left - 1))
-              | _ -> step w rng (left - 1))
+              else step w rng (left - 1))
     in
     for w = 0 to n_workers - 1 do
       step w (Rng.stream ~seed w) per_worker

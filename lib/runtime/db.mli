@@ -1,6 +1,7 @@
 (** Real-parallel shared-nothing execution backend: one OCaml 5 domain per
-    container, reusing [Occ], [Storage], [Btree], [Reactor] and [Workloads]
-    unchanged from the simulator backend.
+    container, running the simulator backend's transaction protocol
+    ({!Reactdb.Protocol}, instantiated over domains and fibers) and its
+    [Occ], [Storage], [Btree], [Reactor] and [Workloads] unchanged.
 
     {2 Execution model}
 
@@ -16,8 +17,8 @@
     install / release steps for container [c] execute as mailbox messages
     on domain [c].
 
-    Domains run cooperative fibers over effects (mirroring the simulator's
-    executor-core semantics): a fiber blocking on a cross-container future
+    Domains run cooperative fibers over effects, the runtime's executors
+    in the shared protocol: a fiber blocking on a cross-container future
     or a 2PC vote suspends and releases its domain to run other
     transactions; the waker re-enqueues it through the home mailbox.
     Clients blocking in {!exec_txn} wait on a [Condition].
@@ -57,8 +58,9 @@ type outcome = {
 
     [chaos] (default {!Chaos.none}) attaches a seeded fault injector; the
     runtime probes it at the catalogued injection points (root/sub-call
-    delivery, between jobs on each domain, after a successful 2PC prepare
-    with locks held). [mailbox_cap] bounds each container's mailbox for
+    delivery, between jobs on each domain, after a successful prepare
+    with locks held, and [Kill_primary] mid-2PC, which fences the
+    runtime — DESIGN.md §7.4). [mailbox_cap] bounds each container's mailbox for
     {e root admission only}: when the ingress mailbox already holds that
     many messages, {!submit} sheds the root with an
     [Obs.Abort.Overloaded] outcome instead of enqueuing it — internal
@@ -261,15 +263,32 @@ val n_committed : t -> int
     counts — see {!Load.result} for the accounting identity). *)
 val n_aborted : t -> int
 
-(** Same typed buckets as the simulator backend: "user", "validation",
-    "dangerous-structure", plus "timeout" (deadline expiry) and
-    "overloaded" (admission sheds). *)
+(** The simulator backend's typed buckets, in the same order: "user",
+    "validation", "dangerous-structure", "timeout" (deadline expiry),
+    "overloaded" (admission sheds) and "internal" (fenced refusals, a
+    killed or failed commit, a body raising a non-abort exception). Each
+    aborted attempt counts in exactly one bucket, so the counts sum to
+    {!n_aborted}. *)
 val aborts_by_reason : t -> (string * int) list
 
 (** Runtime-internal failures (a procedure or callback raised something
     that is not an abort). The offending transaction reports [Error] and
     the domain keeps running; a non-zero count means a bug. *)
 val n_fatal : t -> int
+
+(** {1 Replication fencing (DESIGN.md §12.4)}
+
+    As on the simulator ([Reactdb.Database.fence]): once fenced — after a
+    promotion, or when the [Chaos.Kill_primary] probe fires mid-2PC —
+    every {!submit} is refused with a typed [Internal] outcome, completed
+    on the submitter's thread like a shed, and an in-flight 2PC rolls
+    back instead of installing. Irreversible. *)
+
+val generation : t -> int
+val set_generation : t -> int -> unit
+val fence : t -> unit
+val fenced : t -> bool
+val n_fenced_refusals : t -> int
 
 val fatal_messages : t -> string list
 

@@ -275,6 +275,34 @@ let test_config_spec_parsing () =
   check_bool "round robin" true
     (cfg2.Reactdb.Config.router = Reactdb.Config.Round_robin)
 
+(* Every aborted attempt lands in exactly one typed bucket: a run mixing
+   user aborts, deadline timeouts, admission sheds and fenced refusals
+   leaves the bucket sum equal to [n_aborted] (the runtime suite checks the
+   same on the parallel backend). *)
+let test_bucket_accounting_sim () =
+  with_db ~n:2 (sn_config 2) (fun db ->
+      let call ?deadline_us () =
+        ignore
+          (DB.exec_txn ?deadline_us db ~reactor:"acct0" ~proc:"deposit"
+             ~args:[ Value.Float (-1000.) ])
+      in
+      call ();
+      call ~deadline_us:0.001 ();
+      DB.set_mailbox_cap db (Some 0);
+      call ();
+      call ();
+      DB.set_mailbox_cap db None;
+      DB.fence db;
+      call ();
+      let reasons = DB.aborts_by_reason db in
+      Alcotest.(check (list (pair string int)))
+        "one per bucket, in order"
+        [ ("user", 1); ("timeout", 1); ("overloaded", 2); ("internal", 1) ]
+        reasons;
+      check_int "fenced refusals" 1 (DB.n_fenced_refusals db);
+      check_int "buckets sum to aborts" (DB.n_aborted db)
+        (List.fold_left (fun a (_, n) -> a + n) 0 reasons))
+
 (* ------------------------------------------------------------------ *)
 (* Deadlines on the simulator backend: virtual-time budget, checked at
    phase boundaries; expiry aborts with the Timeout cause, rolls back
@@ -483,6 +511,8 @@ let suite =
       Alcotest.test_case "config spec parsing" `Quick test_config_spec_parsing;
       Alcotest.test_case "deadline timeout (sim)" `Quick
         test_deadline_timeout_sim;
+      Alcotest.test_case "abort buckets sum to n_aborted" `Quick
+        test_bucket_accounting_sim;
       Alcotest.test_case "collect fan-out commits" `Quick
         test_collect_fan_out_commits;
       Alcotest.test_case "collect sub abort aborts root" `Quick

@@ -143,31 +143,36 @@ let test_round_robin_routing () =
    produce exactly the simulator's results and physical state — the
    simulator is the deterministic oracle for execution semantics. *)
 
-let test_serial_equivalence () =
-  let n = 16 in
-  let decl = SB.decl ~customers:n () in
-  let names = SB.customers n in
-  let cfg = Reactdb.Config.shared_nothing (chunk 2 names) in
-  let reqs =
-    let rng = Rng.stream ~seed:123 0 in
-    List.init 150 (fun _ -> SB.gen_standard rng ~n)
-  in
-  (* oracle run *)
-  let sim_db = Harness.build decl cfg in
-  let sim_results = ref [] in
-  let eng = Reactdb.Database.engine sim_db in
+(* The property runs one request stream through each backend in turn and
+   compares per-request results, the abort buckets and the final state.
+   Snapshot reads are off on both sides: a read-only root's snapshot epoch
+   follows its backend's clock (virtual vs wall), which serial equivalence
+   does not cover. *)
+let serial_sim decl cfg names gen =
+  let db = Harness.build decl cfg in
+  Reactdb.Database.set_snapshots db false;
+  let reqs = gen (Reactdb.Database.container_of db) in
+  let results = ref [] in
+  let eng = Reactdb.Database.engine db in
   Sim.Engine.spawn eng (fun () ->
-      sim_results :=
+      results :=
         List.map
           (fun r ->
-            (Reactdb.Database.exec_txn sim_db ~reactor:r.Workloads.Wl.reactor
+            (Reactdb.Database.exec_txn db ~reactor:r.Workloads.Wl.reactor
                ~proc:r.Workloads.Wl.proc ~args:r.Workloads.Wl.args)
               .Reactdb.Database.result)
           reqs);
   ignore (Sim.Engine.run eng);
-  (* parallel run, serialized through the blocking client *)
+  ( reqs,
+    !results,
+    Reactdb.Database.aborts_by_reason db,
+    Faultsim.snapshot
+      (List.map (fun nm -> (nm, Reactdb.Database.catalog_of db nm)) names) )
+
+let serial_par decl cfg reqs =
   let db = RDb.start decl cfg in
-  let par_results =
+  RDb.set_snapshots db false;
+  let results =
     List.map
       (fun r ->
         (RDb.exec_txn db ~reactor:r.Workloads.Wl.reactor
@@ -175,25 +180,84 @@ let test_serial_equivalence () =
           .RDb.result)
       reqs
   in
-  check_int "no fatals" 0 (RDb.n_fatal db);
   RDb.shutdown db;
-  List.iter2
-    (fun s p ->
-      match (s, p) with
-      | Ok vs, Ok vp ->
-        check_bool "same committed value" true (Value.equal vs vp)
-      | Error ms, Error mp -> Alcotest.(check string) "same abort" ms mp
-      | Ok _, Error m -> Alcotest.fail ("sim committed, parallel aborted: " ^ m)
-      | Error m, Ok _ -> Alcotest.fail ("sim aborted, parallel committed: " ^ m))
-    !sim_results par_results;
-  let sim_state =
-    Faultsim.snapshot
-      (List.map (fun nm -> (nm, Reactdb.Database.catalog_of sim_db nm)) names)
-  in
-  let par_state = Faultsim.snapshot (RDb.catalogs db) in
-  (match Faultsim.diff sim_state par_state with
-  | None -> ()
-  | Some d -> Alcotest.fail ("state diverged from simulator: " ^ d))
+  (results, RDb.aborts_by_reason db, RDb.n_fatal db, Faultsim.snapshot (RDb.catalogs db))
+
+(* Workloads of the property: (name, decl, reactor names, request stream
+   of a seed given the placement). *)
+let equivalence_workloads =
+  let module T = Workloads.Tpcc in
+  let module Y = Workloads.Ycsb in
+  let n_req = 60 in
+  let sb_n = 16 and nk = 32 and nw = 4 in
+  [
+    ( "smallbank standard mix",
+      SB.decl ~customers:sb_n (),
+      SB.customers sb_n,
+      fun seed _ ->
+        let rng = Rng.stream ~seed 0 in
+        List.init n_req (fun _ -> SB.gen_standard rng ~n:sb_n) );
+    ( "ycsb multi_update",
+      Y.decl ~keys:nk (),
+      Y.keys nk,
+      fun seed container_of ->
+        let rng = Rng.stream ~seed 0 in
+        let p = Y.params ~txn_keys:4 ~theta:0.6 nk in
+        List.init n_req (fun _ -> Y.gen_multi_update rng p ~container_of) );
+    ( "tpcc new-order/payment",
+      T.decl ~warehouses:nw ~sizes:T.small_sizes (),
+      T.warehouses nw,
+      fun seed _ ->
+        let rng = Rng.stream ~seed 0 in
+        let p = T.params ~sizes:T.small_sizes nw in
+        List.init n_req (fun i ->
+            let home = 1 + (i mod nw) in
+            if Rng.bool rng then T.gen_new_order rng p ~home ~clock:(float_of_int i)
+            else T.gen_payment rng p ~home ~h_id:(i + 1)) );
+  ]
+
+(* Serial equivalence: one transaction at a time, the parallel backend must
+   produce exactly the simulator's results, abort buckets and physical
+   state — the simulator is the deterministic oracle for execution
+   semantics — for every workload on 1, 2 and 4 containers. *)
+let prop_serial_equivalence =
+  QCheck.Test.make ~name:"serial equivalence vs simulator" ~count:3
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      List.iter
+        (fun (wl, decl, names, gen) ->
+          List.iter
+            (fun k ->
+              let cfg = Reactdb.Config.shared_nothing (chunk k names) in
+              let fail fmt =
+                QCheck.Test.fail_reportf ("%s on %d containers: " ^^ fmt) wl k
+              in
+              let reqs, sim_results, sim_reasons, sim_state =
+                serial_sim decl cfg names (gen seed)
+              in
+              let par_results, par_reasons, fatals, par_state =
+                serial_par decl cfg reqs
+              in
+              if fatals <> 0 then fail "%d runtime fatals" fatals;
+              List.iteri
+                (fun i (s, p) ->
+                  match (s, p) with
+                  | Ok vs, Ok vp when Value.equal vs vp -> ()
+                  | Error ms, Error mp when ms = mp -> ()
+                  | _ ->
+                    let show = function
+                      | Ok v -> "committed " ^ Value.to_string v
+                      | Error m -> "aborted: " ^ m
+                    in
+                    fail "request %d: sim %s, runtime %s" i (show s) (show p))
+                (List.combine sim_results par_results);
+              if sim_reasons <> par_reasons then fail "abort buckets differ";
+              match Faultsim.diff sim_state par_state with
+              | None -> ()
+              | Some d -> fail "state diverged: %s" d)
+            [ 1; 2; 4 ])
+        equivalence_workloads;
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Wall-clock closed-loop harness: sane counters and ordered percentiles. *)
@@ -490,6 +554,110 @@ let test_overload_shed () =
   RDb.shutdown db;
   audit_clean db
 
+let sum_buckets reasons = List.fold_left (fun a (_, n) -> a + n) 0 reasons
+
+(* Every aborted attempt lands in exactly one typed bucket: a run mixing
+   user aborts, deadline timeouts, admission sheds and fenced refusals
+   leaves the bucket sum equal to [n_aborted]. *)
+let test_bucket_accounting () =
+  let chaos =
+    Chaos.make ~seed:11 ~kind:Chaos.Stall_domain ~p:1.0 ~delay_us:2_000. ()
+  in
+  let db =
+    RDb.start ~chaos ~mailbox_cap:2 (Testlib.bank_decl 2) (Testlib.sn_config 2)
+  in
+  let call ?deadline_us proc args =
+    ignore (RDb.exec_txn ?deadline_us db ~reactor:"acct0" ~proc ~args)
+  in
+  call "deposit" [ Value.Float (-1000.) ];
+  call ~deadline_us:0. "deposit" [ Value.Float 1. ];
+  for _ = 1 to 20 do
+    RDb.submit db ~reactor:"acct0" ~proc:"deposit" ~args:[ Value.Float 1. ]
+      ~k:(fun _ -> ())
+  done;
+  RDb.quiesce db;
+  RDb.fence db;
+  for _ = 1 to 3 do
+    call "deposit" [ Value.Float 1. ]
+  done;
+  let reasons = RDb.aborts_by_reason db in
+  List.iter
+    (fun b ->
+      check_bool (b ^ " bucket used") true (List.mem_assoc b reasons))
+    [ "user"; "timeout"; "overloaded"; "internal" ];
+  check_int "fenced refusals" 3 (RDb.n_fenced_refusals db);
+  check_int "buckets sum to aborts" (RDb.n_aborted db) (sum_buckets reasons);
+  check_int "no fatals" 0 (RDb.n_fatal db);
+  RDb.shutdown db
+
+(* A fenced primary refuses every admission, exactly counted, on the
+   submitter's thread; the closed-loop driver pauses after each refusal
+   rather than recursing into the next submit. *)
+let test_fenced_admission () =
+  let db = RDb.start (Testlib.bank_decl 2) (Testlib.sn_config 2) in
+  check_int "initial generation" 0 (RDb.generation db);
+  RDb.set_generation db 3;
+  check_int "generation stamped" 3 (RDb.generation db);
+  check_float "serves before the fence" 100. (balance db "acct0");
+  let before = Faultsim.snapshot (RDb.catalogs db) in
+  RDb.fence db;
+  check_bool "fenced" true (RDb.fenced db);
+  for _ = 1 to 5 do
+    let out =
+      RDb.exec_txn db ~reactor:"acct0" ~proc:"transfer_to"
+        ~args:[ Value.Str "acct1"; Value.Float 1. ]
+    in
+    check_bool "typed refusal" true
+      (out.RDb.result = Error Reactdb.Protocol.fenced_message);
+    check_bool "cause is Internal" true (abort_kind out = Some Obs.Abort.Internal);
+    check_int "touched nothing" 0 out.RDb.containers_touched
+  done;
+  let retries =
+    RDb.Load.run_fixed ~max_retries:3 db ~n_workers:2 ~per_worker:50 ~seed:1
+      (fun _ rng ->
+        { Workloads.Wl.reactor = "acct0"; proc = "deposit";
+          args = [ Value.Float (float_of_int (Rng.int rng 5)) ] })
+  in
+  check_int "refusals are not retried" 0 retries;
+  check_int "exact refusal count" 105 (RDb.n_fenced_refusals db);
+  check_int "one commit, before the fence" 1 (RDb.n_committed db);
+  check_int "internal bucket" 105
+    (Option.value ~default:0 (List.assoc_opt "internal" (RDb.aborts_by_reason db)));
+  check_int "no fatals" 0 (RDb.n_fatal db);
+  RDb.shutdown db;
+  match Faultsim.diff before (Faultsim.snapshot (RDb.catalogs db)) with
+  | None -> ()
+  | Some d -> Alcotest.fail ("fenced primary changed state: " ^ d)
+
+(* The Kill_primary probe fences the runtime mid-2PC: the in-flight
+   two-phase commits roll back (money is conserved), every later root is
+   refused, and nothing reaches the fatal path. *)
+let test_kill_primary () =
+  let n = 16 in
+  let cfg = Reactdb.Config.shared_nothing (chunk 2 (SB.customers n)) in
+  let chaos = Chaos.make ~seed:3 ~kind:Chaos.Kill_primary ~p:0.2 () in
+  let db = RDb.start ~chaos (SB.decl ~customers:n ()) cfg in
+  let retries =
+    RDb.Load.run_fixed ~max_retries:2 db ~n_workers:4 ~per_worker:50 ~seed:5
+      (fun _ rng -> SB.gen_conserving rng ~n)
+  in
+  check_bool "kill fired" true (Chaos.injections chaos > 0);
+  check_bool "primary fenced" true (RDb.fenced db);
+  let internal =
+    Option.value ~default:0 (List.assoc_opt "internal" (RDb.aborts_by_reason db))
+  in
+  check_bool "in-flight 2pc killed" true (internal > RDb.n_fenced_refusals db);
+  check_bool "later roots refused" true (RDb.n_fenced_refusals db > 0);
+  check_int "every attempt accounted" (200 + retries)
+    (RDb.n_committed db + RDb.n_aborted db);
+  check_int "buckets sum to aborts" (RDb.n_aborted db)
+    (sum_buckets (RDb.aborts_by_reason db));
+  check_int "no fatals" 0 (RDb.n_fatal db);
+  RDb.shutdown db;
+  check_float "money conserved" (float_of_int n *. 2. *. 10_000.)
+    (SB.total_money (List.map snd (RDb.catalogs db)));
+  audit_clean db
+
 (* Cost router: roots may be admitted on a non-home domain (the body runs
    there; the commit re-pins); correctness and conservation must hold. *)
 let test_cost_router () =
@@ -605,8 +773,7 @@ let suite =
         test_smallbank_parallel;
       Alcotest.test_case "ycsb parallel audit" `Quick test_ycsb_parallel;
       Alcotest.test_case "round-robin routing" `Quick test_round_robin_routing;
-      Alcotest.test_case "serial equivalence vs simulator" `Quick
-        test_serial_equivalence;
+      QCheck_alcotest.to_alcotest prop_serial_equivalence;
       Alcotest.test_case "closed-loop load run" `Quick test_load_run;
       Alcotest.test_case "deadline expired at admission" `Quick
         test_deadline_expired_at_admission;
@@ -620,6 +787,10 @@ let suite =
         test_collect_serial_equivalence_tpcc;
       Alcotest.test_case "overload shed at mailbox cap" `Quick
         test_overload_shed;
+      Alcotest.test_case "abort buckets sum to n_aborted" `Quick
+        test_bucket_accounting;
+      Alcotest.test_case "fenced admission refuses" `Quick test_fenced_admission;
+      Alcotest.test_case "kill-primary rolls back 2pc" `Quick test_kill_primary;
       Alcotest.test_case "cost router" `Quick test_cost_router;
       Alcotest.test_case "group-commit durability + replay" `Quick
         test_group_commit_durability;
