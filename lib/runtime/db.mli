@@ -130,7 +130,9 @@ val catalogs : t -> (string * Storage.Catalog.t) list
     If the runtime was started with [mailbox_cap] and the ingress mailbox
     is full, the root is shed {e at admission}: [k] runs synchronously on
     the caller with an [Obs.Abort.Overloaded] outcome (also
-    non-transient), and no domain ever sees the transaction. *)
+    non-transient), and no domain ever sees the transaction. A {!fence}d
+    runtime refuses every root the same way, with an [Internal]
+    outcome. *)
 val submit :
   ?retry:int ->
   ?deadline_us:float ->
@@ -363,8 +365,9 @@ module Load : sig
       resubmissions with seeded exponential backoff + jitter, evaluated on
       a dedicated timer domain so no executor blocks; [None] restores
       immediate retry. [deadline_us] gives every attempt that latency
-      budget. After a shed the worker pauses [shed_pause_us] (default
-      500 µs, the backpressure response) before generating new work. *)
+      budget. After a shed or a fenced refusal the worker pauses
+      [shed_pause_us] (default 500 µs, the backpressure response) before
+      generating new work. *)
   type spec = {
     n_workers : int;
     gen : int -> Util.Rng.t -> Workloads.Wl.request;
