@@ -408,7 +408,7 @@ module P = Protocol.Make (struct
   type place = rstate
   type nonrec rext = rext
   type nonrec fext = fext
-  type pending = int (* the commit epoch *)
+  type pending = unit
   type 'a ivar = 'a Engine.Ivar.ivar
 
   let state db = db.ps
@@ -482,10 +482,10 @@ module P = Protocol.Make (struct
     in
     set_exec_of rx home ex;
     work fx db.prof.Profile.cost_proc_base;
-    fx
-
-  let frame_exit rst ex = touch_cache rst ex.xid
-  let charges db fx = ((fun kind n -> charge_data db fx kind n), fun us -> work fx us)
+    { Protocol.fx;
+      charge_data = (fun kind n -> charge_data db fx kind n);
+      charge_work = (fun us -> work fx us);
+      exit = (fun () -> touch_cache rst ex.xid) }
 
   let send db fx ~src rst =
     let rx = fx.fx_root in
@@ -520,11 +520,10 @@ module P = Protocol.Make (struct
   (* Programming errors (not aborts) escape to the engine. *)
   let fatal _ e = raise e
   let horizon = install_horizon
-  let commit_begin db _ = current_epoch db
-  let commit_epoch e = e
+  let commit_begin db _ = (current_epoch db, ())
   let log_ahead = wal_log
 
-  let commit_end db txn _ ~tid =
+  let commit_end db txn ~epoch:_ () ~tid =
     Option.iter (note_history db txn) tid;
     None
 end)

@@ -266,7 +266,8 @@ val wal_error : t -> string option
     {!Chaos}); the simulator probes it at its catalogued injection points
     (DESIGN.md §7.4), charging every stall as {e virtual} delay:
     [Delay_delivery] before a root or shipped sub-call starts on its
-    executor, [Stall_prepare] after a successful prepare with locks held,
+    executor, [Stall_prepare] after a successful 2PC or re-pinned prepare
+    with locks held,
     [Stall_flush] inside the group-commit flusher before the device
     flush, and [Kill_primary], which fences the engine mid-2PC (votes
     resolved, nothing installed — see the fencing section above).

@@ -216,24 +216,24 @@ module Make (S : SCHED) = struct
   let rec run_procedure db ~root ~place ~home ~ex ~on_root_path ~proc_name ~args =
     let entry = S.entry place in
     let procfn = Reactor.find_proc entry.Bootstrap.bs_rtype proc_name in
-    let fx = S.frame_enter db root.rx place ~home ex ~on_root_path in
+    let hooks = S.frame_enter db root.rx place ~home ex ~on_root_path in
     let frame =
       { froot = root; fplace = place; fhome = home; fex = ex;
-        fpath = on_root_path; fx; children = [] }
+        fpath = on_root_path; fx = hooks.fx; children = [] }
     in
-    let charge, work = S.charges db fx in
     let ctx =
       {
         Reactor.db =
           Query.Exec.make_ctx ?snapshot:root.rsnapshot ~txn:root.txn
-            ~container:home ~catalog:entry.Bootstrap.bs_catalog ~charge ~work ();
+            ~container:home ~catalog:entry.Bootstrap.bs_catalog
+            ~charge:hooks.charge_data ~work:hooks.charge_work ();
         self = entry.Bootstrap.bs_name;
         call = (fun ~reactor ~proc ~args -> do_call db frame ~reactor ~proc ~args);
         collect = collect root;
       }
     in
     let result = try Ok (procfn ctx args) with e -> Error e in
-    S.frame_exit place ex;
+    hooks.exit ();
     (* Implicit synchronization: a (sub-)transaction completes only when all
        its children complete — even on the abort path, since in-flight
        children mutate the shared transaction context. *)
@@ -263,14 +263,16 @@ module Make (S : SCHED) = struct
     end
     else begin
       let target = S.place db reactor in
+      let home = S.gate db root.rx frame.fex ~rgen:root.rgen target in
       (* Dynamic safety condition (§2.2.4): at most one execution context may
-         be active per reactor and root transaction. *)
+         be active per reactor and root transaction. Checked after the gate,
+         with no suspension before the add: a sibling sub-call parked at
+         the same stub must see this activation. *)
       if Hashtbl.mem root.active_set reactor then
         raise
           (Reactor.Dangerous_call
              (Printf.sprintf "dangerous call structure: reactor %s already active"
                 reactor));
-      let home = S.gate db root.rx frame.fex ~rgen:root.rgen target in
       Hashtbl.add root.active_set reactor ();
       if home = frame.fhome then begin
         (* Same container: execute synchronously in the caller's executor to
@@ -377,14 +379,16 @@ module Make (S : SCHED) = struct
 
   (* One participant's prepare: refuse outright when the root's deadline has
      already passed (no validation work, no locks taken), otherwise
-     validate. The chaos stall fires after a successful prepare, i.e. with
-     this participant's write locks held — the worst place to lose time. *)
-  let prepare db root c () =
+     validate. With [stall], the chaos stall fires after a successful
+     prepare, i.e. with this participant's write locks held — the worst
+     place to lose time. A commit local to the coordinator's container
+     passes [~stall:false]: it sends no commit message to delay. *)
+  let prepare db root ~stall c () =
     if deadline_expired root then Error C_timeout
     else begin
       S.charge db (Validate (root.txn, c));
       let r = Occ.Commit.prepare root.txn ~container:c in
-      if Result.is_ok r then S.stall db Chaos.Stall_prepare;
+      if stall && Result.is_ok r then S.stall db Chaos.Stall_prepare;
       Result.map_error (fun fr -> C_fail fr) r
     end
 
@@ -406,7 +410,9 @@ module Make (S : SCHED) = struct
     let votes =
       List.map
         (fun c ->
-          (c, commit_step db root ex c ~fallback:(Error C_internal) (prepare db root c)))
+          ( c,
+            commit_step db root ex c ~fallback:(Error C_internal)
+              (prepare db root ~stall:true c) ))
         containers
       |> List.map (fun (c, v) -> (c, await_step ex v))
     in
@@ -458,8 +464,8 @@ module Make (S : SCHED) = struct
   (* Silo commit of a root whose only participant is [c], run on [c].
      Returns the verdict and when validation ended, which splits the
      trace's validation and commit phases. *)
-  let commit_one db root c ~epoch () =
-    let vote = prepare db root c () in
+  let commit_one db root c ~epoch ~stall () =
+    let vote = prepare db root ~stall c () in
     let t_val = clock root in
     match vote with
     | Error e -> (Error e, t_val)
@@ -490,11 +496,11 @@ module Make (S : SCHED) = struct
          then count toward validation. *)
       let t0 = clock root in
       let r, t_val =
-        if c = S.container ex then commit_one db root c ~epoch ()
+        if c = S.container ex then commit_one db root c ~epoch ~stall:false ()
         else
           await_step ex
             (commit_step db root ex c ~fallback:(Error C_internal, t0)
-               (commit_one db root c ~epoch))
+               (commit_one db root c ~epoch ~stall:true))
       in
       if root.timed then Obs.Trace.add root.tr Obs.Phase.Validation (t_val -. t0);
       stamp root Obs.Phase.Commit t_val;
@@ -502,15 +508,15 @@ module Make (S : SCHED) = struct
     | containers -> two_phase db root ex containers ~epoch
 
   let commit db root ex v =
-    let pending = S.commit_begin db root.txn in
+    let epoch, pending = S.commit_begin db root.txn in
     let cres =
-      try do_commit db root ex ~epoch:(S.commit_epoch pending) with
+      try do_commit db root ex ~epoch with
       | Wal.Io_error m -> Error (C_wal m)
       | e ->
         S.fatal db e;
         Error (C_crashed (Printexc.to_string e))
     in
-    (match S.commit_end db root.txn pending ~tid:(Result.to_option cres) with
+    (match S.commit_end db root.txn ~epoch pending ~tid:(Result.to_option cres) with
     | Some flushed ->
       let t = clock root in
       await_step ex (`Pending flushed);

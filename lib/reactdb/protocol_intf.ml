@@ -43,6 +43,16 @@ type cost =
   | Validate of Occ.Txn.t * int  (** Silo validation on one container *)
   | Install  (** one participant's install; the empty commit *)
 
+(** One invocation's frame as its scheduler opens it: the scheduler's
+    per-frame state, the data-access and work charges the invocation's
+    queries make, and what runs when its body returns. *)
+type 'fx frame_hooks = {
+  fx : 'fx;
+  charge_data : Query.Exec.charge_kind -> int -> unit;
+  charge_work : float -> unit;
+  exit : unit -> unit;
+}
+
 (** What the protocol needs from a scheduler. DESIGN.md §5.3 tabulates
     what each entry does on the simulator and on the runtime. *)
 module type SCHED = sig
@@ -80,18 +90,14 @@ module type SCHED = sig
   val enter : rext -> unit
   val leave : rext -> unit
 
-  (** Costs: commit-path work; an invocation's open, close, and the
-      data-access and work charges its queries make; shipping a sub-call
-      (returning its ordinal in the root); resuming after call [sfid]
-      blocked [blocked] µs. *)
+  (** Costs: commit-path work; opening an invocation's frame; shipping a
+      sub-call (returning its ordinal in the root); resuming after call
+      [sfid] blocked [blocked] µs. *)
   val charge : t -> cost -> unit
 
   val frame_enter :
-    t -> rext -> place -> home:int -> exec -> on_root_path:bool -> fext
-
-  val frame_exit : place -> exec -> unit
-  val charges :
-    t -> fext -> (Query.Exec.charge_kind -> int -> unit) * (float -> unit)
+    t -> rext -> place -> home:int -> exec -> on_root_path:bool ->
+    fext frame_hooks
 
   val send : t -> fext -> src:int -> place -> int
   val resumed : t -> fext -> sfid:int -> blocked:float -> unit
@@ -107,11 +113,11 @@ module type SCHED = sig
   (** [commit_begin] yields the commit epoch, [log_ahead] appends the redo
       record with every participant's locks held, [commit_end] gets the
       TID on success and may return a group-commit flush to await. *)
-  val commit_begin : t -> Occ.Txn.t -> pending
+  val commit_begin : t -> Occ.Txn.t -> int * pending
 
-  val commit_epoch : pending -> int
   val log_ahead : t -> rext -> Occ.Txn.t -> tid:int -> (unit, string) result
 
   val commit_end :
-    t -> Occ.Txn.t -> pending -> tid:int option -> unit ivar option
+    t -> Occ.Txn.t -> epoch:int -> pending -> tid:int option ->
+    unit ivar option
 end

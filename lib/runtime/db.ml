@@ -488,13 +488,11 @@ let flusher_loop db s =
    coordinator happens-before edges to every participant's writes. Time is
    real, so every cost charge is a no-op. *)
 
-type commit_pending = {
-  cp_epoch : int;  (* registered commit epoch, see [commit_register] *)
-  cp_wal : (wal_sink * Wal.write list * int) option;
-      (* sink, after-images and the epoch tag of a durable commit *)
-}
-
-let no_charges = ((fun _ _ -> ()), fun _ -> ())
+let no_hooks =
+  { Reactdb.Protocol.fx = ();
+    charge_data = (fun _ _ -> ());
+    charge_work = (fun _ -> ());
+    exit = (fun () -> ()) }
 
 module P = Reactdb.Protocol.Make (struct
   type nonrec t = t
@@ -502,7 +500,8 @@ module P = Reactdb.Protocol.Make (struct
   type nonrec place = place
   type rext = Mutex.t
   type fext = unit
-  type pending = commit_pending
+  type pending = (wal_sink * Wal.write list * int) option
+  (* sink, after-images and the epoch tag of a durable commit *)
   type 'a ivar = 'a Ivar.t
 
   let state db = db.ps
@@ -536,9 +535,7 @@ module P = Reactdb.Protocol.Make (struct
   let enter = Mutex.lock
   let leave = Mutex.unlock
   let charge _ _ = ()
-  let frame_enter _ _ _ ~home:_ _ ~on_root_path:_ = ()
-  let frame_exit _ _ = ()
-  let charges _ () = no_charges
+  let frame_enter _ _ _ ~home:_ _ ~on_root_path:_ = no_hooks
   let send _ () ~src:_ _ = 0
   let resumed _ () ~sfid:_ ~blocked:_ = ()
   let stall db kind = Chaos.inject_wall db.ps.Reactdb.Protocol.chaos kind
@@ -550,7 +547,7 @@ module P = Reactdb.Protocol.Make (struct
      commit epoch is registered so snapshot acquisition never freezes an
      epoch with installs still in flight. *)
   let commit_begin db txn =
-    let cp_wal =
+    let wal =
       match db.wal with
       | None -> None
       | Some s -> (
@@ -558,14 +555,13 @@ module P = Reactdb.Protocol.Make (struct
         | [] -> None
         | writes -> Some (s, writes, sink_register db s))
     in
-    { cp_epoch = commit_register db; cp_wal }
+    (commit_register db, wal)
 
-  let commit_epoch p = p.cp_epoch
   let log_ahead _ _ _ ~tid:_ = Ok ()
 
-  let commit_end db txn p ~tid =
-    commit_deregister db p.cp_epoch;
-    match (tid, p.cp_wal) with
+  let commit_end db txn ~epoch wal ~tid =
+    commit_deregister db epoch;
+    match (tid, wal) with
     | _, None -> None
     | Some tid, Some (s, writes, etag) ->
       Some

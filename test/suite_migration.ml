@@ -362,6 +362,48 @@ let test_runtime_chaos_migration () =
   audit (RDb.catalogs db)
 
 (* ------------------------------------------------------------------ *)
+(* Runtime: two sibling sub-transactions of one post-mark root both call a
+   migrating reactor and both park at its stub. The dynamic safety check
+   (§2.2.4) must hold across the park: after the flip the first activation
+   ships its deposit, and the second — resumed while that deposit is still
+   held up by a 30 ms delivery delay — must raise Dangerous_call instead
+   of opening a second activation of the same reactor in the same root. *)
+
+let test_runtime_stub_siblings_dangerous () =
+  let chaos =
+    Chaos.make ~seed:7 ~kind:Chaos.Delay_delivery ~p:1.0 ~delay_us:30_000. ()
+  in
+  let db = RDb.start ~chaos (Testlib.bank_decl 4) (Testlib.sn_config 4) in
+  (* a pre-mark root spinning 300 ms on acct2 holds the drain open *)
+  RDb.submit db ~reactor:"acct2" ~proc:"slow_deposit"
+    ~args:[ Value.Float 1.; Value.Float 300_000. ]
+    ~k:(fun _ -> ());
+  let migrator = Domain.spawn (fun () -> RDb.migrate db ~reactor:"acct2" ~dst:0) in
+  Unix.sleepf 0.02;
+  (* post-mark root: acct1 and acct3 each transfer 1 to acct2 at once *)
+  let out =
+    RDb.exec_txn db ~reactor:"acct0" ~proc:"relay"
+      ~args:[ Value.Str "acct2"; Value.Str "acct1"; Value.Str "acct3" ]
+  in
+  ignore (Domain.join migrator);
+  RDb.quiesce db;
+  (match out.RDb.result with
+  | Error m ->
+    check_bool ("dangerous structure reported: " ^ m) true
+      (Strutil.has_prefix m ~prefix:"dangerous")
+  | Ok _ -> Alcotest.fail "two activations of acct2 in one root committed");
+  check_int "dangerous bucket" 1
+    (List.assoc "dangerous-structure" (RDb.aborts_by_reason db));
+  check_int "flipped" 0 (RDb.container_of db "acct2");
+  check_float "only the pre-mark deposit applied" 101. (balance db "acct2");
+  List.iter
+    (fun a -> check_float (a ^ " rolled back") 100. (balance db a))
+    [ "acct0"; "acct1"; "acct3" ];
+  check_int "no fatals" 0 (RDb.n_fatal db);
+  RDb.shutdown db;
+  audit (RDb.catalogs db)
+
+(* ------------------------------------------------------------------ *)
 (* Autoscaler policy: pure decision function over synthetic signals. *)
 
 let ld ?(q = 0.) busy =
@@ -485,6 +527,8 @@ let suite =
         test_runtime_migration_mid_load;
       Alcotest.test_case "runtime: chaos stall during migration" `Quick
         test_runtime_chaos_migration;
+      Alcotest.test_case "runtime: sibling sub-calls parked at a stub" `Quick
+        test_runtime_stub_siblings_dangerous;
       Alcotest.test_case "autoscaler: decide policy" `Quick
         test_autoscaler_decide;
       Alcotest.test_case "autoscaler: consolidates idle deployment" `Quick

@@ -139,49 +139,79 @@ let test_round_robin_routing () =
   audit_clean db
 
 (* ------------------------------------------------------------------ *)
-(* Serial equivalence: one transaction at a time, the parallel backend must
-   produce exactly the simulator's results and physical state — the
-   simulator is the deterministic oracle for execution semantics. *)
+(* Serial runs: one request at a time through each backend, compared on
+   per-request results, abort buckets, snapshot-read commits and final
+   state. Snapshot reads stay on, the default on both backends. Each
+   request starts a full Silo epoch after the previous one finished — the
+   simulator idles its virtual clock, the runtime sleeps past short
+   wall-clock epochs — so a read-only root's frozen epoch covers every
+   earlier commit on both backends, as a serial execution requires. *)
 
-(* The property runs one request stream through each backend in turn and
-   compares per-request results, the abort buckets and the final state.
-   Snapshot reads are off on both sides: a read-only root's snapshot epoch
-   follows its backend's clock (virtual vs wall), which serial equivalence
-   does not cover. *)
-let serial_sim decl cfg names gen =
+type serial_run = {
+  results : (Value.t, string) result list;
+  reasons : (string * int) list;
+  ro_commits : int;
+  state : Faultsim.state;
+}
+
+let run_serial_sim decl cfg names reqs =
+  let module D = Reactdb.Database in
   let db = Harness.build decl cfg in
-  Reactdb.Database.set_snapshots db false;
-  let reqs = gen (Reactdb.Database.container_of db) in
   let results = ref [] in
-  let eng = Reactdb.Database.engine db in
+  let eng = D.engine db in
   Sim.Engine.spawn eng (fun () ->
       results :=
         List.map
           (fun r ->
-            (Reactdb.Database.exec_txn db ~reactor:r.Workloads.Wl.reactor
+            let epoch = D.safe_snapshot_epoch db + 1 in
+            while D.safe_snapshot_epoch db < epoch do
+              Sim.Engine.delay 1_000.
+            done;
+            (D.exec_txn db ~reactor:r.Workloads.Wl.reactor
                ~proc:r.Workloads.Wl.proc ~args:r.Workloads.Wl.args)
-              .Reactdb.Database.result)
+              .D.result)
           reqs);
   ignore (Sim.Engine.run eng);
-  ( reqs,
-    !results,
-    Reactdb.Database.aborts_by_reason db,
-    Faultsim.snapshot
-      (List.map (fun nm -> (nm, Reactdb.Database.catalog_of db nm)) names) )
+  { results = !results; reasons = D.aborts_by_reason db;
+    ro_commits = D.n_readonly_commits db;
+    state = Faultsim.snapshot (List.map (fun nm -> (nm, D.catalog_of db nm)) names) }
 
-let serial_par decl cfg reqs =
-  let db = RDb.start decl cfg in
-  RDb.set_snapshots db false;
+let serial_epoch_s = 2e-4
+
+let run_serial_par decl cfg reqs =
+  let db = RDb.start ~epoch_len_s:serial_epoch_s decl cfg in
   let results =
     List.map
       (fun r ->
+        Unix.sleepf (2. *. serial_epoch_s);
         (RDb.exec_txn db ~reactor:r.Workloads.Wl.reactor
            ~proc:r.Workloads.Wl.proc ~args:r.Workloads.Wl.args)
           .RDb.result)
       reqs
   in
+  check_int "no fatals" 0 (RDb.n_fatal db);
   RDb.shutdown db;
-  (results, RDb.aborts_by_reason db, RDb.n_fatal db, Faultsim.snapshot (RDb.catalogs db))
+  { results; reasons = RDb.aborts_by_reason db;
+    ro_commits = RDb.n_readonly_commits db;
+    state = Faultsim.snapshot (RDb.catalogs db) }
+
+let check_serial_equiv label a b =
+  List.iteri
+    (fun i (ra, rb) ->
+      let label = Printf.sprintf "%s: request %d" label i in
+      match (ra, rb) with
+      | Ok va, Ok vb ->
+        check_bool (label ^ ": same committed value") true (Value.equal va vb)
+      | Error ma, Error mb -> Alcotest.(check string) (label ^ ": same abort") ma mb
+      | Ok _, Error m -> Alcotest.fail (label ^ ": committed vs aborted: " ^ m)
+      | Error m, Ok _ -> Alcotest.fail (label ^ ": aborted vs committed: " ^ m))
+    (List.combine a.results b.results);
+  Alcotest.(check (list (pair string int))) (label ^ ": abort buckets") a.reasons
+    b.reasons;
+  check_int (label ^ ": snapshot-read commits") a.ro_commits b.ro_commits;
+  match Faultsim.diff a.state b.state with
+  | None -> ()
+  | Some d -> Alcotest.fail (label ^ ": state diverged: " ^ d)
 
 (* Workloads of the property: (name, decl, reactor names, request stream
    of a seed given the placement). *)
@@ -217,47 +247,29 @@ let equivalence_workloads =
   ]
 
 (* Serial equivalence: one transaction at a time, the parallel backend must
-   produce exactly the simulator's results, abort buckets and physical
-   state — the simulator is the deterministic oracle for execution
-   semantics — for every workload on 1, 2 and 4 containers. *)
+   produce exactly the simulator's results, abort buckets, snapshot-read
+   commits and physical state — the simulator is the deterministic oracle
+   for execution semantics — for every workload on 1, 2 and 4
+   containers. Smallbank's balance reads run on the snapshot path. *)
 let prop_serial_equivalence =
   QCheck.Test.make ~name:"serial equivalence vs simulator" ~count:3
     QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
     (fun seed ->
+      let ro_commits = ref 0 in
       List.iter
         (fun (wl, decl, names, gen) ->
           List.iter
             (fun k ->
               let cfg = Reactdb.Config.shared_nothing (chunk k names) in
-              let fail fmt =
-                QCheck.Test.fail_reportf ("%s on %d containers: " ^^ fmt) wl k
-              in
-              let reqs, sim_results, sim_reasons, sim_state =
-                serial_sim decl cfg names (gen seed)
-              in
-              let par_results, par_reasons, fatals, par_state =
-                serial_par decl cfg reqs
-              in
-              if fatals <> 0 then fail "%d runtime fatals" fatals;
-              List.iteri
-                (fun i (s, p) ->
-                  match (s, p) with
-                  | Ok vs, Ok vp when Value.equal vs vp -> ()
-                  | Error ms, Error mp when ms = mp -> ()
-                  | _ ->
-                    let show = function
-                      | Ok v -> "committed " ^ Value.to_string v
-                      | Error m -> "aborted: " ^ m
-                    in
-                    fail "request %d: sim %s, runtime %s" i (show s) (show p))
-                (List.combine sim_results par_results);
-              if sim_reasons <> par_reasons then fail "abort buckets differ";
-              match Faultsim.diff sim_state par_state with
-              | None -> ()
-              | Some d -> fail "state diverged: %s" d)
+              let reqs = gen seed cfg.Reactdb.Config.placement in
+              let sim = run_serial_sim decl cfg names reqs in
+              check_serial_equiv
+                (Printf.sprintf "%s on %d containers" wl k)
+                sim (run_serial_par decl cfg reqs);
+              ro_commits := !ro_commits + sim.ro_commits)
             [ 1; 2; 4 ])
         equivalence_workloads;
-      true)
+      !ro_commits > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Wall-clock closed-loop harness: sane counters and ordered percentiles. *)
@@ -403,53 +415,6 @@ let test_deadline_mid_collect_runtime () =
    equivalent to their sequential counterparts — same per-request results
    and byte-identical physical state — one transaction at a time, on both
    backends. *)
-
-let run_serial_sim decl cfg names reqs =
-  let db = Harness.build decl cfg in
-  let results = ref [] in
-  let eng = Reactdb.Database.engine db in
-  Sim.Engine.spawn eng (fun () ->
-      results :=
-        List.map
-          (fun r ->
-            (Reactdb.Database.exec_txn db ~reactor:r.Workloads.Wl.reactor
-               ~proc:r.Workloads.Wl.proc ~args:r.Workloads.Wl.args)
-              .Reactdb.Database.result)
-          reqs);
-  ignore (Sim.Engine.run eng);
-  let state =
-    Faultsim.snapshot
-      (List.map (fun nm -> (nm, Reactdb.Database.catalog_of db nm)) names)
-  in
-  (!results, state)
-
-let run_serial_par decl cfg reqs =
-  let db = RDb.start decl cfg in
-  let results =
-    List.map
-      (fun r ->
-        (RDb.exec_txn db ~reactor:r.Workloads.Wl.reactor
-           ~proc:r.Workloads.Wl.proc ~args:r.Workloads.Wl.args)
-          .RDb.result)
-      reqs
-  in
-  check_int "no fatals" 0 (RDb.n_fatal db);
-  RDb.shutdown db;
-  (results, Faultsim.snapshot (RDb.catalogs db))
-
-let check_serial_equiv label (ra, sa) (rb, sb) =
-  List.iter2
-    (fun a b ->
-      match (a, b) with
-      | Ok va, Ok vb ->
-        check_bool (label ^ ": same committed value") true (Value.equal va vb)
-      | Error ma, Error mb -> Alcotest.(check string) (label ^ ": same abort") ma mb
-      | Ok _, Error m -> Alcotest.fail (label ^ ": committed vs aborted: " ^ m)
-      | Error m, Ok _ -> Alcotest.fail (label ^ ": aborted vs committed: " ^ m))
-    ra rb;
-  match Faultsim.diff sa sb with
-  | None -> ()
-  | Some d -> Alcotest.fail (label ^ ": state diverged: " ^ d)
 
 let test_collect_serial_equivalence_smallbank () =
   let n = 12 in

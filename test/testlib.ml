@@ -18,6 +18,9 @@ let acct_schema =
    - multi_transfer_collect_slow (spin_us, amount, dests...): credits via
      slow_deposit, which busy-waits spin_us of wall clock first
    - same_twice (other): two async calls to the same reactor — dangerous
+   - relay (dest, mids...): every mid runs transfer_to (dest, 1), all
+     shipped at once — dangerous with two or more mids, from two sibling
+     sub-transactions
    - noop () *)
 let account_type =
   let open Reactor in
@@ -138,6 +141,18 @@ let account_type =
     ignore (f2.get ());
     Value.Null
   in
+  let relay ctx args =
+    match args with
+    | dest :: mids ->
+      List.map
+        (fun m ->
+          ctx.call ~reactor:(Value.to_str m) ~proc:"transfer_to"
+            ~args:[ dest; Value.Float 1. ])
+        mids
+      |> List.iter (fun f -> ignore (f.get ()));
+      Value.Null
+    | [] -> abort "no destination"
+  in
   let noop _ctx _args = Value.Null in
   rtype ~name:"Account" ~schemas:[ acct_schema ]
     ~procs:
@@ -151,6 +166,7 @@ let account_type =
         ("multi_transfer_collect_slow", multi_transfer_collect_slow);
         ("slow_deposit", slow_deposit);
         ("same_twice", same_twice);
+        ("relay", relay);
         ("noop", noop);
       ]
     ()
